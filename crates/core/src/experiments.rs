@@ -358,9 +358,11 @@ pub fn try_run_study(cfg: &StudyConfig) -> Result<StudyResults, StudyError> {
                     }));
                 }
                 // Mirror the replaced sweep's world interactions, in
-                // order: it published the day's zone snapshots
-                // (idempotent), appended to the interner, and advanced
-                // the network clock to its slowest lane's end.
+                // order: it published the day's TLD zones (idempotent;
+                // only registries that changed since the last publish
+                // are rebuilt, the rest just take the day's SOA serial),
+                // appended to the interner, and advanced the network
+                // clock to its slowest lane's end.
                 world.publish_tld_zones();
                 ck.interner.replay(&interner)?;
                 world.restore_net_clock_us(ck.net_clock_us);

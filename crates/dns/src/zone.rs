@@ -388,6 +388,11 @@ fn parse_record_line(line: &str) -> Result<Record, String> {
             if !digest_hex.len().is_multiple_of(2) {
                 return Err("odd-length DS digest".into());
             }
+            // Checked before slicing: a non-ASCII byte pair is not a char
+            // boundary, and `from_str_radix` would accept a `+` sign.
+            if !digest_hex.bytes().all(|b| b.is_ascii_hexdigit()) {
+                return Err("bad DS digest hex".into());
+            }
             let digest: Result<Vec<u8>, _> = (0..digest_hex.len())
                 .step_by(2)
                 .map(|i| u8::from_str_radix(&digest_hex[i..i + 2], 16))
@@ -605,6 +610,21 @@ mod tests {
         let bad = "$ORIGIN ru.\nru. 86400 IN SOA a. b. 1 2 3 4 5\nexample.ru. x IN A 192.0.2.1\n";
         let e = Zone::from_text(bad).unwrap_err();
         assert_eq!(e.line, 3);
+    }
+
+    #[test]
+    fn ds_digest_must_be_hex() {
+        for digest in ["aéa", "+f+f", "zz"] {
+            let text = format!(
+                "$ORIGIN ru.\nru. 86400 IN SOA a. b. 1 2 3 4 5\nx.ru. 60 IN DS 1 8 2 {digest}\n"
+            );
+            let e = Zone::from_text(&text).unwrap_err();
+            assert_eq!(
+                (e.line, e.reason.as_str()),
+                (3, "bad DS digest hex"),
+                "{digest}"
+            );
+        }
     }
 
     #[test]

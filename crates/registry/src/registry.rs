@@ -59,6 +59,8 @@ pub struct Registry {
     /// Cumulative count of every name ever registered (the paper reports
     /// 11.7 M unique names over the study window against ~5 M live).
     ever_registered: u64,
+    /// Bumped by every successful mutation; see [`Registry::version`].
+    version: u64,
 }
 
 impl Registry {
@@ -68,7 +70,18 @@ impl Registry {
             tld,
             domains: BTreeMap::new(),
             ever_registered: 0,
+            version: 0,
         }
+    }
+
+    /// Mutation counter: every successful [`register`](Self::register),
+    /// [`renew`](Self::renew), [`delete`](Self::delete),
+    /// [`set_delegation`](Self::set_delegation) and non-empty
+    /// [`process_expirations`](Self::process_expirations) bumps it; failed
+    /// calls do not. Equal versions of one registry mean equal contents,
+    /// so a publisher can skip rebuilding an unchanged zone.
+    pub fn version(&self) -> u64 {
+        self.version
     }
 
     /// The TLD this registry administers.
@@ -104,6 +117,7 @@ impl Registry {
             },
         );
         self.ever_registered += 1;
+        self.version += 1;
         Ok(())
     }
 
@@ -114,14 +128,18 @@ impl Registry {
             .get_mut(name)
             .ok_or(RegistryError::NotRegistered)?;
         reg.expires = reg.expires.add_days((365 * years) as i32);
+        self.version += 1;
         Ok(reg.expires)
     }
 
     /// Delete `name` immediately (registrant action).
     pub fn delete(&mut self, name: &DomainName) -> Result<Registration, RegistryError> {
-        self.domains
+        let reg = self
+            .domains
             .remove(name)
-            .ok_or(RegistryError::NotRegistered)
+            .ok_or(RegistryError::NotRegistered)?;
+        self.version += 1;
+        Ok(reg)
     }
 
     /// Replace the delegation for `name`.
@@ -135,6 +153,7 @@ impl Registry {
             .get_mut(name)
             .ok_or(RegistryError::NotRegistered)?;
         reg.delegation = delegation;
+        self.version += 1;
         Ok(())
     }
 
@@ -145,7 +164,7 @@ impl Registry {
 
     /// Whether `name` is currently registered.
     pub fn is_registered(&self, name: &DomainName) -> bool {
-        self.domains.contains_key(&name.clone())
+        self.domains.contains_key(name)
     }
 
     /// Live registration count.
@@ -175,18 +194,28 @@ impl Registry {
         for n in &expired {
             self.domains.remove(n);
         }
+        if !expired.is_empty() {
+            self.version += 1;
+        }
         expired
     }
 
+    /// The SOA serial of the zone snapshot taken on `date`: the day number,
+    /// so consecutive snapshots are ordered like production zone serials.
+    pub fn zone_serial(date: Date) -> u32 {
+        date.days_since_epoch() as u32
+    }
+
     /// Produce the TLD zone as of `date`: one NS RRset per delegated name
-    /// plus glue, under a SOA whose serial encodes the date (so consecutive
-    /// snapshots are ordered, like production zone serials).
+    /// plus glue, under a SOA carrying [`Registry::zone_serial`]. Apart
+    /// from that serial, the zone depends only on the registry contents,
+    /// so it changes only when [`Registry::version`] does.
     pub fn zone_snapshot(&self, date: Date) -> Zone {
         let origin = Name::from(&self.tld);
         let soa = SoaData {
             mname: Name::from_labels(["a", "dns", "ripn", "net"]).expect("static labels"),
             rname: Name::from_labels(["hostmaster", "ripn", "net"]).expect("static labels"),
-            serial: date.days_since_epoch() as u32,
+            serial: Self::zone_serial(date),
             refresh: 86_400,
             retry: 14_400,
             expire: 2_592_000,
@@ -342,6 +371,91 @@ mod tests {
         assert!(r.is_registered(&d("пример.рф")));
         let zone = r.zone_snapshot(Date::from_ymd(2020, 1, 2));
         assert_eq!(zone.origin().to_string(), "xn--p1ai.");
+    }
+
+    #[test]
+    fn successful_mutations_bump_version() {
+        let mut r = registry();
+        let day = Date::from_ymd(2020, 1, 1);
+        assert_eq!(r.version(), 0);
+        let mut last = r.version();
+        let mut bumped = |r: &Registry, what: &str| {
+            assert!(r.version() > last, "{what} must bump the version");
+            last = r.version();
+        };
+        r.register(d("a.ru"), day, 1).unwrap();
+        bumped(&r, "register");
+        r.register(d("b.ru"), day, 5).unwrap();
+        bumped(&r, "register");
+        r.renew(&d("b.ru"), 1).unwrap();
+        bumped(&r, "renew");
+        r.set_delegation(
+            &d("a.ru"),
+            Delegation {
+                nameservers: vec![d("ns.hoster.com")],
+                glue: BTreeMap::new(),
+            },
+        )
+        .unwrap();
+        bumped(&r, "set_delegation");
+        assert_eq!(r.process_expirations(day.add_days(366)), vec![d("a.ru")]);
+        bumped(&r, "a non-empty process_expirations");
+        r.delete(&d("b.ru")).unwrap();
+        bumped(&r, "delete");
+    }
+
+    #[test]
+    fn failed_mutations_keep_version() {
+        let mut r = registry();
+        let day = Date::from_ymd(2020, 1, 1);
+        r.register(d("taken.ru"), day, 10).unwrap();
+        let v = r.version();
+        assert_eq!(
+            r.register(d("taken.ru"), day, 1),
+            Err(RegistryError::AlreadyRegistered)
+        );
+        assert_eq!(
+            r.register(d("example.com"), day, 1),
+            Err(RegistryError::WrongTld)
+        );
+        assert_eq!(
+            r.renew(&d("missing.ru"), 1),
+            Err(RegistryError::NotRegistered)
+        );
+        assert_eq!(
+            r.set_delegation(&d("missing.ru"), Delegation::default()),
+            Err(RegistryError::NotRegistered)
+        );
+        assert_eq!(
+            r.delete(&d("missing.ru")),
+            Err(RegistryError::NotRegistered)
+        );
+        assert!(r.process_expirations(day.add_days(30)).is_empty());
+        assert_eq!(r.version(), v, "failed and no-op calls leave the version");
+        // Reads do not count either.
+        let _ = r.zone_snapshot(day);
+        assert!(r.is_registered(&d("taken.ru")));
+        assert_eq!(r.version(), v);
+    }
+
+    #[test]
+    fn equal_versions_give_equal_zones_up_to_serial() {
+        let mut r = registry();
+        let day = Date::from_ymd(2022, 2, 24);
+        r.register(d("a.ru"), day, 1).unwrap();
+        r.set_delegation(
+            &d("a.ru"),
+            Delegation {
+                nameservers: vec![d("ns.hoster.com")],
+                glue: BTreeMap::new(),
+            },
+        )
+        .unwrap();
+        let mut earlier = r.zone_snapshot(day);
+        let later = r.zone_snapshot(day.add_days(3));
+        assert_eq!(later.soa().serial, Registry::zone_serial(day.add_days(3)));
+        earlier.set_serial(Registry::zone_serial(day.add_days(3)));
+        assert_eq!(earlier, later);
     }
 
     #[test]

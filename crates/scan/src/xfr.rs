@@ -85,6 +85,7 @@ impl ZoneTransferClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ruwhere_types::Date;
     use ruwhere_world::WorldConfig;
 
     #[test]
@@ -126,5 +127,98 @@ mod tests {
             client.transfer(&mut world, "su").unwrap_err(),
             ScanError::Timeout
         );
+        // The key is the exact TLD string: no case folding, no Unicode form.
+        for tld in ["RU", "рф", "ru."] {
+            assert_eq!(
+                client.transfer(&mut world, tld).unwrap_err(),
+                ScanError::Timeout,
+                "{tld}"
+            );
+        }
+    }
+
+    #[test]
+    fn silent_before_first_publish() {
+        let mut world = World::new(WorldConfig::tiny());
+        let client = ZoneTransferClient::new(&world);
+        for tld in ["ru", "xn--p1ai", "su"] {
+            assert_eq!(
+                client.transfer(&mut world, tld).unwrap_err(),
+                ScanError::Timeout,
+                "{tld}"
+            );
+        }
+        world.publish_tld_zones();
+        assert!(client.transfer(&mut world, "ru").is_ok());
+    }
+
+    /// Today's snapshot of the registry for `tld`, as fresh as it gets.
+    fn fresh_snapshot(world: &World, tld: &str) -> Zone {
+        let registry = world
+            .registries()
+            .iter()
+            .find(|r| r.tld().as_str() == tld)
+            .expect("study TLD");
+        registry.zone_snapshot(world.today())
+    }
+
+    /// The oracle for publish-on-change: on every day, across churn,
+    /// the conflict's re-delegations and serial-only days, the transferred
+    /// zone and its text equal a fresh snapshot of the registry, and
+    /// publishing twice changes nothing.
+    #[test]
+    fn transfers_equal_fresh_snapshots_every_day() {
+        let mut world = World::new(WorldConfig::tiny());
+        let client = ZoneTransferClient::new(&world);
+        let end = Date::from_ymd(2022, 3, 1);
+        let (mut changed_days, mut serial_only_days) = (0, 0);
+        let mut last_versions: Option<Vec<u64>> = None;
+        while world.today() <= end {
+            let versions: Vec<u64> = world.registries().iter().map(|r| r.version()).collect();
+            match &last_versions {
+                Some(last) if *last == versions => serial_only_days += 1,
+                Some(_) => changed_days += 1,
+                None => {}
+            }
+            last_versions = Some(versions);
+            for _ in 0..2 {
+                world.publish_tld_zones();
+                for tld in ["ru", "xn--p1ai"] {
+                    let fresh_text = fresh_snapshot(&world, tld).to_text();
+                    let zone = client.transfer(&mut world, tld).expect("transfer");
+                    assert_eq!(zone, Zone::from_text(&fresh_text).unwrap(), "{tld}");
+                    assert_eq!(zone.to_text(), fresh_text, "{tld}");
+                }
+            }
+            let next = world.today().succ();
+            world.advance_to(next);
+        }
+        // Both publish paths ran: rebuilds and serial-only patches.
+        assert!(changed_days > 0, "no day changed a registry");
+        assert!(serial_only_days > 0, "every day changed a registry");
+    }
+
+    #[test]
+    fn transfer_after_zone_change_is_not_cached_text() {
+        let mut world = World::new(WorldConfig::tiny());
+        let client = ZoneTransferClient::new(&world);
+        world.publish_tld_zones();
+        let before = client.transfer(&mut world, "ru").unwrap();
+        let version = world.registries()[0].version();
+        // Walk forward to the first day whose .ru delegations changed.
+        loop {
+            let next = world.today().succ();
+            world.advance_to(next);
+            let fresh = fresh_snapshot(&world, "ru");
+            if !ruwhere_dns::ZoneDiff::between(&before, &fresh).is_empty() {
+                break;
+            }
+            assert!(next < Date::from_ymd(2022, 3, 1), "no .ru change found");
+        }
+        assert_ne!(world.registries()[0].version(), version);
+        world.publish_tld_zones();
+        let after = client.transfer(&mut world, "ru").unwrap();
+        assert_eq!(after, fresh_snapshot(&world, "ru"));
+        assert!(!ruwhere_dns::ZoneDiff::between(&before, &after).is_empty());
     }
 }

@@ -154,8 +154,15 @@ pub struct World {
 
     sanctions: SanctionsList,
     scripted_moves: Vec<ScriptedMove>,
+    /// The WHOIS service's copy of `registries`, refreshed per registry
+    /// when it publishes a new version.
     whois_state: Arc<RwLock<Vec<Registry>>>,
-    xfr_state: Arc<RwLock<HashMap<String, Vec<String>>>>,
+    /// Per registry, the [`Registry::version`] its served zone and WHOIS
+    /// copy were built from (`None` before its first publish).
+    published_versions: Vec<Option<u64>>,
+    /// Zone-transfer chunks per TLD, rendered on demand and dropped at
+    /// every publish.
+    xfr_cache: Arc<RwLock<HashMap<String, Vec<String>>>>,
 
     cas: Vec<CertificateAuthority>,
     ca_specs: Vec<CaSpec>,
@@ -248,6 +255,10 @@ impl World {
             }
         }
 
+        let registries = vec![
+            Registry::new("ru".parse().expect("static")),
+            Registry::new("рф".parse().expect("static")),
+        ];
         let mut world = World {
             rng: seed.child("behave").rng(),
             namegen: NameGenerator::new(seed.child("names")),
@@ -282,12 +293,11 @@ impl World {
             portfolio: Vec::new(),
             scripted_moves: Vec::new(),
             sanctions: SanctionsList::new(),
-            whois_state: Arc::new(RwLock::new(Vec::new())),
-            xfr_state: Arc::new(RwLock::new(HashMap::new())),
-            registries: vec![
-                Registry::new("ru".parse().expect("static")),
-                Registry::new("рф".parse().expect("static")),
-            ],
+            // WHOIS answers "no entries" until the first publish.
+            whois_state: Arc::new(RwLock::new(registries.clone())),
+            published_versions: vec![None; registries.len()],
+            xfr_cache: Arc::new(RwLock::new(HashMap::new())),
+            registries,
             ripn_zones: Arc::new(RwLock::new(ZoneSet::new())),
             gtld_zones: Arc::new(RwLock::new(ZoneSet::new())),
             root_zone: Arc::new(RwLock::new(ZoneSet::new())),
@@ -546,7 +556,9 @@ impl World {
             self.ripn_ip,
             XFR_PORT,
             Box::new(ZoneTransferService {
-                state: Arc::clone(&self.xfr_state),
+                tlds: self.registries.iter().map(|r| r.tld().clone()).collect(),
+                zones: Arc::clone(&self.ripn_zones),
+                cache: Arc::clone(&self.xfr_cache),
             }),
         );
 
@@ -1943,43 +1955,31 @@ impl World {
         self.geo.add_snapshot(effective, db);
     }
 
-    /// Install today's TLD zone snapshots into the RIPN server. Call before
-    /// running a measurement sweep.
+    /// Bring the RIPN server's TLD zones and the WHOIS database up to date
+    /// with the registries as of today. A registry whose
+    /// [`Registry::version`] changed since its last publish gets a fresh
+    /// [`Registry::zone_snapshot`] and WHOIS copy; an unchanged one keeps
+    /// its served zone, which only takes today's SOA serial. Either way the
+    /// served zone equals today's snapshot. Publishing is idempotent, and
+    /// every sweep (`sweep_frame` in `ruwhere-scan`) publishes first, so a
+    /// measurement needs no call of its own. Zone-transfer text is rendered
+    /// later, on the first request for it.
     pub fn publish_tld_zones(&mut self) {
-        let mut zs = self.ripn_zones.write();
-        for r in &self.registries {
-            zs.insert(r.zone_snapshot(self.today));
-        }
-        drop(zs);
-        *self.whois_state.write() = self.registries.clone();
-        // Refresh the zone-transfer chunks (the daily zone file the
-        // registry makes available to measurement partners).
-        let mut xfr = HashMap::new();
-        for r in &self.registries {
-            let text = r.zone_snapshot(self.today).to_text();
-            let bytes = text.as_bytes();
-            let mut chunks = Vec::with_capacity(bytes.len() / XFR_CHUNK + 1);
-            let mut start = 0;
-            while start < bytes.len() {
-                // Split on a line boundary at or before the chunk size.
-                let mut end = (start + XFR_CHUNK).min(bytes.len());
-                if end < bytes.len() {
-                    while end > start && bytes[end - 1] != b'\n' {
-                        end -= 1;
-                    }
-                    if end == start {
-                        end = (start + XFR_CHUNK).min(bytes.len());
-                    }
+        let serial = Registry::zone_serial(self.today);
+        let mut zones = self.ripn_zones.write();
+        let mut whois = self.whois_state.write();
+        for (i, r) in self.registries.iter().enumerate() {
+            if self.published_versions[i] == Some(r.version()) {
+                if let Some(zone) = zones.get_mut(&Name::from(r.tld())) {
+                    zone.set_serial(serial);
                 }
-                chunks.push(String::from_utf8_lossy(&bytes[start..end]).into_owned());
-                start = end;
+                continue;
             }
-            if chunks.is_empty() {
-                chunks.push(String::new());
-            }
-            xfr.insert(r.tld().as_str().to_owned(), chunks);
+            zones.insert(r.zone_snapshot(self.today));
+            whois[i] = r.clone();
+            self.published_versions[i] = Some(r.version());
         }
-        *self.xfr_state.write() = xfr;
+        self.xfr_cache.write().clear();
     }
 
     /// Address of the registry's zone-transfer service.
@@ -2105,8 +2105,14 @@ enum ZoneHome {
 
 /// Chunked zone transfer (the AXFR-over-TCP analogue): request
 /// `XFR <tld> <chunk>`; response `XFRHDR <total-chunks>\n<payload>`.
+/// `<tld>` is a registry TLD's exact presentation string (`ru`,
+/// `xn--p1ai`). A TLD's text is rendered from the served zone on its first
+/// request after a publish and cached until the next one; the service stays
+/// silent for other TLDs, and for every TLD before the first publish.
 struct ZoneTransferService {
-    state: Arc<RwLock<HashMap<String, Vec<String>>>>,
+    tlds: Vec<DomainName>,
+    zones: SharedZoneSet,
+    cache: Arc<RwLock<HashMap<String, Vec<String>>>>,
 }
 
 impl ruwhere_netsim::Service for ZoneTransferService {
@@ -2123,8 +2129,13 @@ impl ruwhere_netsim::Service for ZoneTransferService {
         }
         let tld = parts.next()?;
         let chunk: usize = parts.next()?.parse().ok()?;
-        let state = self.state.read();
-        let chunks = state.get(tld)?;
+        let mut cache = self.cache.write();
+        if !cache.contains_key(tld) {
+            let origin = self.tlds.iter().find(|t| t.as_str() == tld)?;
+            let text = self.zones.read().get(&Name::from(origin))?.to_text();
+            cache.insert(tld.to_owned(), chunk_zone_text(&text));
+        }
+        let chunks = &cache[tld];
         let body = chunks.get(chunk)?;
         Some(format!("XFRHDR {}\n{}", chunks.len(), body).into_bytes())
     }
@@ -2132,6 +2143,32 @@ impl ruwhere_netsim::Service for ZoneTransferService {
     fn processing_us(&self) -> u64 {
         800
     }
+}
+
+/// Split zone text into transfer chunks of at most [`XFR_CHUNK`] bytes,
+/// each ending on a line boundary where one exists; always at least one.
+fn chunk_zone_text(text: &str) -> Vec<String> {
+    let bytes = text.as_bytes();
+    let mut chunks = Vec::with_capacity(bytes.len() / XFR_CHUNK + 1);
+    let mut start = 0;
+    while start < bytes.len() {
+        // Split on a line boundary at or before the chunk size.
+        let mut end = (start + XFR_CHUNK).min(bytes.len());
+        if end < bytes.len() {
+            while end > start && bytes[end - 1] != b'\n' {
+                end -= 1;
+            }
+            if end == start {
+                end = (start + XFR_CHUNK).min(bytes.len());
+            }
+        }
+        chunks.push(String::from_utf8_lossy(&bytes[start..end]).into_owned());
+        start = end;
+    }
+    if chunks.is_empty() {
+        chunks.push(String::new());
+    }
+    chunks
 }
 
 /// Port-43 WHOIS over the registry database (see
@@ -2369,5 +2406,68 @@ mod tests {
             w.domain_state(&member).unwrap().hosting.primary,
             pid::SERVEREL
         );
+    }
+
+    /// Publishing only changed registries leaves the served zones and the
+    /// WHOIS copy equal to today's fresh snapshots, on every day and on a
+    /// repeated publish.
+    #[test]
+    fn published_state_equals_fresh_snapshots() {
+        use ruwhere_registry::whois::respond;
+        let mut w = World::new(WorldConfig::tiny());
+        assert!(
+            w.ripn_zones.read().is_empty(),
+            "nothing served before a publish"
+        );
+        let mut serial_only_days = 0;
+        let mut last_versions = Vec::new();
+        while w.today <= Date::from_ymd(2022, 3, 1) {
+            let versions: Vec<u64> = w.registries.iter().map(|r| r.version()).collect();
+            serial_only_days += usize::from(versions == last_versions);
+            last_versions = versions;
+            for _ in 0..2 {
+                w.publish_tld_zones();
+                let zones = w.ripn_zones.read();
+                let whois = w.whois_state.read();
+                assert_eq!(zones.len(), w.registries.len());
+                for r in &w.registries {
+                    let served = zones.get(&Name::from(r.tld())).expect("TLD served");
+                    assert_eq!(served, &r.zone_snapshot(w.today), "{}", w.today);
+                    for (name, _) in r.iter() {
+                        assert_eq!(
+                            respond(&whois, name.as_str()),
+                            respond(&w.registries, name.as_str())
+                        );
+                    }
+                }
+            }
+            w.advance_to(w.today.succ());
+        }
+        assert!(serial_only_days > 0, "the serial-only path never ran");
+    }
+
+    /// WHOIS serves the copy taken at the last publish: a renewal shows
+    /// after the next publish, even on the same day.
+    #[test]
+    fn whois_shows_renewal_after_next_publish() {
+        let mut w = World::new(WorldConfig::tiny());
+        w.publish_tld_zones();
+        let name = w.seed_names()[0].clone();
+        let paid_till = |w: &mut World| {
+            let (src, server) = (w.scanner_ip, w.whois_server());
+            let query = format!("{name}\r\n");
+            let reply = w.net.request(src, server, query.as_bytes(), 2_000_000, 2);
+            let reply = String::from_utf8(reply.expect("WHOIS answers")).unwrap();
+            ruwhere_registry::whois::parse(&reply)
+                .expect("registered")
+                .paid_till
+        };
+        let old = paid_till(&mut w);
+        let reg = if name.tld() == "ru" { 0 } else { 1 };
+        let renewed = w.registries[reg].renew(&name, 2).unwrap();
+        assert_eq!(renewed, old.add_days(2 * 365));
+        assert_eq!(paid_till(&mut w), old, "not published yet");
+        w.publish_tld_zones();
+        assert_eq!(paid_till(&mut w), renewed);
     }
 }
