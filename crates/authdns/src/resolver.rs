@@ -508,13 +508,15 @@ impl IterativeResolver {
         let mut budget = self.query_budget;
         let mut retries = self.retry_budget;
         let result = self.resolve_inner(net, name, rtype, &mut budget, &mut retries, 0, deps);
-        let outcome = match &result {
-            Ok(Resolution::Records(r)) => format!("answer ({} records)", r.len()),
-            Ok(Resolution::NxDomain) => "NXDOMAIN".to_owned(),
-            Ok(Resolution::NoData) => "NODATA".to_owned(),
-            Err(e) => format!("error: {e}"),
-        };
-        self.record(TraceEvent::Done { outcome });
+        if self.trace.is_some() {
+            let outcome = match &result {
+                Ok(Resolution::Records(r)) => format!("answer ({} records)", r.len()),
+                Ok(Resolution::NxDomain) => "NXDOMAIN".to_owned(),
+                Ok(Resolution::NoData) => "NODATA".to_owned(),
+                Err(e) => format!("error: {e}"),
+            };
+            self.record(TraceEvent::Done { outcome });
+        }
         result
     }
 

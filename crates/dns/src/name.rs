@@ -3,8 +3,10 @@
 use crate::wire::{Decoder, Encoder, WireError};
 use ruwhere_types::DomainName;
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use std::fmt;
 use std::str::FromStr;
+use std::sync::Arc;
 
 /// Maximum total wire length of a name (RFC 1035 §2.3.4).
 const MAX_WIRE_LEN: usize = 255;
@@ -16,6 +18,14 @@ const MAX_POINTER_HOPS: usize = 64;
 /// A DNS name in wire form: a sequence of lowercase labels. The root name
 /// has zero labels.
 ///
+/// The labels live in one shared buffer: each label is its length octet
+/// followed by its lowercase bytes, leftmost label first, without the
+/// terminal zero octet (the root is the empty buffer). Cloning bumps a
+/// reference count; a suffix of the name is a tail slice of the buffer.
+///
+/// Names order label by label, leftmost first (`ab.` before `b.`), which
+/// is not the bytewise order of the buffer.
+///
 /// ```
 /// use ruwhere_dns::Name;
 /// let n: Name = "www.example.ru".parse().unwrap();
@@ -24,20 +34,22 @@ const MAX_POINTER_HOPS: usize = 64;
 /// assert!(n.is_subdomain_of(&"example.ru".parse().unwrap()));
 /// assert!(Name::root().is_root());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Name {
-    labels: Vec<Box<[u8]>>,
+    wire: Arc<[u8]>,
 }
 
 impl Name {
     /// The root name (`.`).
     pub fn root() -> Self {
-        Name { labels: Vec::new() }
+        Name {
+            wire: Arc::from(&[][..]),
+        }
     }
 
     /// Whether this is the root name.
     pub fn is_root(&self) -> bool {
-        self.labels.is_empty()
+        self.wire.is_empty()
     }
 
     /// Build a name from presentation labels. Each label is lowercased and
@@ -47,8 +59,10 @@ impl Name {
         I: IntoIterator<Item = S>,
         S: AsRef<[u8]>,
     {
-        let mut out = Vec::new();
-        let mut wire_len = 1usize; // terminal zero octet
+        let mut buf = [0u8; MAX_WIRE_LEN];
+        // Bytes the labels take; may outgrow `buf`, in which case later
+        // labels are still validated but no longer copied.
+        let mut len = 0usize;
         for l in labels {
             let l = l.as_ref();
             if l.is_empty() || l.len() > MAX_LABEL_LEN {
@@ -57,65 +71,75 @@ impl Name {
             if !l.iter().all(|b| b.is_ascii() && *b != b'.') {
                 return Err(WireError::BadLabel);
             }
-            wire_len += 1 + l.len();
-            out.push(l.to_ascii_lowercase().into_boxed_slice());
+            if let Some(dst) = buf.get_mut(len..len + 1 + l.len()) {
+                dst[0] = l.len() as u8;
+                dst[1..].copy_from_slice(l);
+                dst[1..].make_ascii_lowercase();
+            }
+            len += 1 + l.len();
         }
-        if wire_len > MAX_WIRE_LEN {
+        // One more octet for the terminal zero.
+        if len + 1 > MAX_WIRE_LEN {
             return Err(WireError::NameTooLong);
         }
-        Ok(Name { labels: out })
+        Ok(Name {
+            wire: Arc::from(&buf[..len]),
+        })
     }
 
     /// Number of labels.
     pub fn label_count(&self) -> usize {
-        self.labels.len()
+        self.labels().count()
     }
 
     /// Iterate over labels (leftmost first).
     pub fn labels(&self) -> impl Iterator<Item = &[u8]> {
-        self.labels.iter().map(|l| l.as_ref())
+        Labels(&self.wire)
     }
 
     /// The parent name (one label removed from the left), or `None` at root.
     pub fn parent(&self) -> Option<Name> {
-        if self.is_root() {
-            None
-        } else {
-            Some(Name {
-                labels: self.labels[1..].to_vec(),
-            })
-        }
+        let first = *self.wire.first()?;
+        Some(Name {
+            wire: Arc::from(&self.wire[1 + first as usize..]),
+        })
     }
 
     /// Whether `self` is equal to or a subdomain of `ancestor`.
     pub fn is_subdomain_of(&self, ancestor: &Name) -> bool {
-        let n = ancestor.labels.len();
-        if self.labels.len() < n {
+        let (wire, tail) = (&self.wire[..], &ancestor.wire[..]);
+        let Some(start) = wire.len().checked_sub(tail.len()) else {
             return false;
+        };
+        // The ancestor must start at one of our label boundaries.
+        let mut at = 0;
+        while at < start {
+            at += 1 + wire[at] as usize;
         }
-        self.labels[self.labels.len() - n..] == ancestor.labels[..]
+        at == start && wire[start..] == *tail
     }
 
     /// Wire length of this name when encoded without compression.
     pub fn wire_len(&self) -> usize {
-        1 + self.labels.iter().map(|l| 1 + l.len()).sum::<usize>()
+        self.wire.len() + 1
     }
 
     /// Encode into `enc`, compressing against (and registering with) the
-    /// encoder's suffix table.
+    /// suffixes the encoder has already written.
     pub fn encode(&self, enc: &mut Encoder) {
         // Walk suffixes from the full name down; at the first suffix already
-        // present in the table, emit a pointer and stop.
-        for i in 0..self.labels.len() {
-            let key = Self::suffix_key(&self.labels[i..]);
-            if let Some(off) = enc.lookup_suffix(&key) {
+        // written, emit a pointer and stop.
+        let wire = &self.wire[..];
+        let mut at = 0;
+        while at < wire.len() {
+            if let Some(off) = enc.lookup_suffix(&wire[at..]) {
                 enc.put_u16(0xC000 | off);
                 return;
             }
-            enc.remember_suffix(key, enc.position());
-            let label = &self.labels[i];
-            enc.put_u8(label.len() as u8);
-            enc.put_slice(label);
+            enc.remember_suffix(enc.position());
+            let end = at + 1 + wire[at] as usize;
+            enc.put_slice(&wire[at..end]);
+            at = end;
         }
         enc.put_u8(0);
     }
@@ -123,20 +147,8 @@ impl Name {
     /// Encode without compression (used inside RDATA where some historical
     /// servers choke on pointers; also for deterministic digest input).
     pub fn encode_uncompressed(&self, enc: &mut Encoder) {
-        for label in &self.labels {
-            enc.put_u8(label.len() as u8);
-            enc.put_slice(label);
-        }
+        enc.put_slice(&self.wire);
         enc.put_u8(0);
-    }
-
-    fn suffix_key(labels: &[Box<[u8]>]) -> Vec<u8> {
-        let mut key = Vec::new();
-        for l in labels {
-            key.push(l.len() as u8);
-            key.extend_from_slice(l);
-        }
-        key
     }
 
     /// Decode a (possibly compressed) name at the decoder's cursor. The
@@ -144,10 +156,9 @@ impl Name {
     /// are followed via random access without moving the cursor there.
     pub fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
         let msg = dec.message();
-        let mut labels = Vec::new();
-        let mut wire_len = 1usize;
+        let mut buf = [0u8; MAX_WIRE_LEN];
+        let mut len = 0usize;
         let mut pos = dec.position();
-        let mut jumped = false;
         let mut hops = 0usize;
         let mut end_pos = None;
 
@@ -155,32 +166,36 @@ impl Name {
             if pos >= msg.len() {
                 return Err(WireError::Truncated);
             }
-            let len = msg[pos];
-            match len & 0xC0 {
+            let label_len = msg[pos];
+            match label_len & 0xC0 {
                 0x00 => {
                     pos += 1;
-                    if len == 0 {
+                    if label_len == 0 {
                         if end_pos.is_none() {
                             end_pos = Some(pos);
                         }
                         break;
                     }
-                    let len = len as usize;
-                    if pos + len > msg.len() {
+                    let n = label_len as usize;
+                    if pos + n > msg.len() {
                         return Err(WireError::Truncated);
                     }
-                    wire_len += 1 + len;
-                    if wire_len > MAX_WIRE_LEN {
+                    // The labels so far, this one, and the terminal zero.
+                    if len + 1 + n + 1 > MAX_WIRE_LEN {
                         return Err(WireError::NameTooLong);
                     }
-                    labels.push(msg[pos..pos + len].to_ascii_lowercase().into_boxed_slice());
-                    pos += len;
+                    buf[len] = label_len;
+                    let dst = &mut buf[len + 1..len + 1 + n];
+                    dst.copy_from_slice(&msg[pos..pos + n]);
+                    dst.make_ascii_lowercase();
+                    len += 1 + n;
+                    pos += n;
                 }
                 0xC0 => {
                     if pos + 1 >= msg.len() {
                         return Err(WireError::Truncated);
                     }
-                    let target = (((len & 0x3F) as usize) << 8) | msg[pos + 1] as usize;
+                    let target = (((label_len & 0x3F) as usize) << 8) | msg[pos + 1] as usize;
                     if end_pos.is_none() {
                         end_pos = Some(pos + 2);
                     }
@@ -193,24 +208,55 @@ impl Name {
                         return Err(WireError::BadPointer);
                     }
                     pos = target;
-                    jumped = true;
                 }
                 other => return Err(WireError::BadLabelType(other)),
             }
-            let _ = jumped;
         }
 
         dec.seek(end_pos.expect("loop sets end_pos before breaking"))?;
-        Ok(Name { labels })
+        Ok(Name {
+            wire: Arc::from(&buf[..len]),
+        })
     }
 
     /// Convert to the analysis-level [`DomainName`] (fails for the root name
     /// or names with labels that are not valid hostnames).
     pub fn to_domain_name(&self) -> Option<DomainName> {
-        if self.is_root() {
-            return None;
-        }
-        DomainName::parse(&self.to_string()).ok()
+        DomainName::from_ascii_labels(self.labels()).ok()
+    }
+}
+
+/// Iterator over the labels of a name's buffer.
+struct Labels<'a>(&'a [u8]);
+
+impl<'a> Iterator for Labels<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        let (&len, rest) = self.0.split_first()?;
+        let (label, rest) = rest.split_at(len as usize);
+        self.0 = rest;
+        Some(label)
+    }
+}
+
+impl Ord for Name {
+    /// Label-wise order, leftmost label first; a bytewise compare of the
+    /// buffers would put `ab.` after `b.`.
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.labels().cmp(other.labels())
+    }
+}
+
+impl PartialOrd for Name {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl fmt::Debug for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Name({self})")
     }
 }
 
@@ -220,8 +266,8 @@ impl fmt::Display for Name {
         if self.is_root() {
             return f.write_str(".");
         }
-        for l in &self.labels {
-            for &b in l.iter() {
+        for l in self.labels() {
+            for &b in l {
                 if b.is_ascii_graphic() && b != b'.' {
                     write!(f, "{}", b as char)?;
                 } else {

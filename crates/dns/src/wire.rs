@@ -6,7 +6,6 @@
 //! keeps the entire message slice).
 
 use bytes::{BufMut, BytesMut};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Maximum DNS message size we accept (EDNS-sized; we do not implement
@@ -60,9 +59,10 @@ impl std::error::Error for WireError {}
 /// Wire encoder with RFC 1035 §4.1.4 name compression.
 pub struct Encoder {
     buf: BytesMut,
-    /// Canonical (lowercase) name suffix → offset of its first occurrence.
-    /// Only offsets < 0x3FFF are eligible as compression targets.
-    names: HashMap<Vec<u8>, u16>,
+    /// Offsets of the name suffixes written so far, in write order. A
+    /// suffix is registered only where it first occurs, and only offsets
+    /// <= 0x3FFF are eligible as compression targets.
+    names: Vec<u16>,
 }
 
 impl Encoder {
@@ -70,13 +70,18 @@ impl Encoder {
     pub fn new() -> Self {
         Encoder {
             buf: BytesMut::with_capacity(512),
-            names: HashMap::new(),
+            names: Vec::new(),
         }
     }
 
     /// Current output length (also the offset of the next byte).
     pub fn position(&self) -> usize {
         self.buf.len()
+    }
+
+    /// The bytes written so far.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
     }
 
     /// Append a raw byte.
@@ -104,21 +109,57 @@ impl Encoder {
         self.buf[at..at + 2].copy_from_slice(&v.to_be_bytes());
     }
 
-    /// Look up a compression target for a canonical suffix key.
-    pub(crate) fn lookup_suffix(&self, key: &[u8]) -> Option<u16> {
-        self.names.get(key).copied()
+    /// The offset of the first registered suffix that spells `suffix`: its
+    /// length-prefixed labels, without the terminal zero.
+    pub(crate) fn lookup_suffix(&self, suffix: &[u8]) -> Option<u16> {
+        self.names
+            .iter()
+            .copied()
+            .find(|&off| self.spells_at(off as usize, suffix))
     }
 
-    /// Remember a suffix occurrence for future compression.
-    pub(crate) fn remember_suffix(&mut self, key: Vec<u8>, offset: usize) {
+    /// Register a suffix written at `offset` for future compression.
+    pub(crate) fn remember_suffix(&mut self, offset: usize) {
         if offset <= 0x3FFF {
-            self.names.entry(key).or_insert(offset as u16);
+            self.names.push(offset as u16);
+        }
+    }
+
+    /// Whether the name written at `at`, following this encoder's own
+    /// backward pointers, is exactly `suffix`. A name still being written
+    /// runs into the end of the buffer and never matches.
+    fn spells_at(&self, mut at: usize, mut suffix: &[u8]) -> bool {
+        let buf = &self.buf[..];
+        loop {
+            let Some(&len) = buf.get(at) else {
+                return false;
+            };
+            if len & 0xC0 == 0xC0 {
+                let Some(&lo) = buf.get(at + 1) else {
+                    return false;
+                };
+                let target = (((len & 0x3F) as usize) << 8) | lo as usize;
+                if target >= at {
+                    return false;
+                }
+                at = target;
+                continue;
+            }
+            if len == 0 {
+                return suffix.is_empty();
+            }
+            let n = 1 + len as usize;
+            if suffix.len() < n || buf.get(at..at + n) != Some(&suffix[..n]) {
+                return false;
+            }
+            suffix = &suffix[n..];
+            at += n;
         }
     }
 
     /// Finish encoding, enforcing the size limit.
     pub fn finish(self) -> Result<Vec<u8>, WireError> {
-        let v = self.buf.to_vec();
+        let v = Vec::from(self.buf);
         if v.len() > MAX_MESSAGE_SIZE {
             return Err(WireError::TooBig(v.len()));
         }

@@ -107,6 +107,40 @@ impl DomainName {
         Ok(DomainName(joined.into()))
     }
 
+    /// Build a name from wire labels, without formatting and re-parsing.
+    ///
+    /// For non-empty labels of ASCII bytes without a `.` this gives the same
+    /// result as [`parse`](Self::parse) of the labels joined with dots,
+    /// including the error; a label with other bytes is a
+    /// [`DomainParseError::BadChar`]. No labels at all is
+    /// [`DomainParseError::Empty`].
+    pub fn from_ascii_labels<'a, I>(labels: I) -> Result<Self, DomainParseError>
+    where
+        I: IntoIterator<Item = &'a [u8]>,
+    {
+        let mut joined = String::with_capacity(MAX_NAME_LEN);
+        for label in labels {
+            if !joined.is_empty() {
+                joined.push('.');
+            }
+            if !label.iter().all(|&b| b.is_ascii() && b != b'.') {
+                return Err(DomainParseError::BadChar(
+                    String::from_utf8_lossy(label).into_owned(),
+                ));
+            }
+            let start = joined.len();
+            joined.extend(label.iter().map(|b| b.to_ascii_lowercase() as char));
+            validate_ascii_label(&joined[start..])?;
+        }
+        if joined.is_empty() {
+            return Err(DomainParseError::Empty);
+        }
+        if joined.len() > MAX_NAME_LEN {
+            return Err(DomainParseError::TooLong);
+        }
+        Ok(DomainName(joined.into()))
+    }
+
     /// The normalized ASCII presentation form (no trailing dot).
     pub fn as_str(&self) -> &str {
         &self.0

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use ruwhere_types::punycode;
-use ruwhere_types::{Date, DomainName};
+use ruwhere_types::{Date, DomainName, DomainParseError};
 
 proptest! {
     #[test]
@@ -76,5 +76,32 @@ proptest! {
     #[test]
     fn domain_parser_never_panics(s in "\\PC{0,60}") {
         let _ = DomainName::parse(&s);
+    }
+
+    #[test]
+    fn from_ascii_labels_equals_parsing_the_joined_labels(
+        labels in proptest::collection::vec(
+            prop_oneof![
+                // `_`, leading and trailing `-`, mixed case, `.` and other
+                // punctuation inside a label.
+                proptest::string::string_regex("[a-zA-Z0-9_.!-]{1,12}").unwrap(),
+                // 63- and 64-byte labels, and totals around 253/254.
+                (62usize..=64).prop_map(|n| "a".repeat(n)),
+            ],
+            0..6,
+        )
+    ) {
+        let bytes: Vec<&[u8]> = labels.iter().map(|l| l.as_bytes()).collect();
+        let ours = DomainName::from_ascii_labels(bytes);
+        if let Some(first_dot) = labels.iter().position(|l| l.contains('.')) {
+            // A dot cannot be inside a wire label of a hostname; labels are
+            // checked in order.
+            prop_assert!(ours.is_err());
+            if labels[..first_dot].iter().all(|l| DomainName::parse(l).is_ok()) {
+                prop_assert!(matches!(ours, Err(DomainParseError::BadChar(_))));
+            }
+        } else {
+            prop_assert_eq!(ours, DomainName::parse(&labels.join(".")));
+        }
     }
 }
