@@ -10,12 +10,14 @@
 //! distinct [`ResolveError`] variants so the measurement layer can count
 //! failure causes instead of lumping everything into "timeout".
 
-use ruwhere_dns::{Message, Name, RData, RType, Rcode, Record};
+use ruwhere_dns::wire::Encoder;
+use ruwhere_dns::{Message, MessageView, Name, NameView, RData, RDataView, RType, Rcode, Record};
 use ruwhere_netsim::{SimTime, Transport};
 use ruwhere_obs::Histogram;
-use std::collections::HashMap;
+use ruwhere_types::FnvMap;
 use std::fmt;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// A root name-server hint: where resolution starts.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -287,7 +289,8 @@ impl NsDependencyCache for NoDependencyCache {
 /// by sweep boundary.
 pub struct IterativeResolver {
     client_ip: Ipv4Addr,
-    roots: Vec<RootHint>,
+    /// Shared with every fork.
+    roots: Arc<[RootHint]>,
     /// Max queries for one `resolve` call.
     pub query_budget: u32,
     /// Max *failed* queries one `resolve` call may absorb before giving
@@ -306,19 +309,47 @@ pub struct IterativeResolver {
     /// instrumentation's own overhead.
     pub obs_enabled: bool,
     next_id: u16,
-    answer_cache: HashMap<(Name, RType), Result<Resolution, ResolveError>>,
-    cut_cache: HashMap<Name, Vec<Ipv4Addr>>,
-    health: HashMap<Ipv4Addr, ServerHealth>,
+    /// What the resolver this one was forked from had learned, shared with
+    /// its other forks and never written; `own` shadows it.
+    base: Arc<Learned>,
+    /// What this resolver learned itself.
+    own: Learned,
     queries_sent: u64,
     stats: ResolverStats,
     obs: ResolverObs,
     trace: Option<Vec<TraceEvent>>,
+    /// Every query is encoded into this one encoder.
+    encoder: Encoder,
 }
 
-/// Classification of one query exchange.
-enum QueryOutcome {
-    /// A usable response (NoError or NXDOMAIN, not truncated, not lame).
-    Usable(Message),
+/// What a resolver has learned: answers, zone cuts and server health.
+#[derive(Clone, Default)]
+struct Learned {
+    answers: FnvMap<(Name, RType), Result<Resolution, ResolveError>>,
+    cuts: FnvMap<Name, Vec<Ipv4Addr>>,
+    health: FnvMap<Ipv4Addr, ServerHealth>,
+}
+
+impl Learned {
+    fn is_empty(&self) -> bool {
+        self.answers.is_empty() && self.cuts.is_empty() && self.health.is_empty()
+    }
+}
+
+/// What sending one query gave back.
+enum Sent {
+    /// The transport timed out.
+    Timeout,
+    /// A reply arrived to the query with `id`, sent at `at`.
+    Reply {
+        id: u16,
+        at: SimTime,
+        bytes: Vec<u8>,
+    },
+}
+
+/// Why a query exchange gave nothing usable.
+enum Failure {
     /// Transport timeout.
     Timeout,
     /// SERVFAIL rcode.
@@ -336,7 +367,7 @@ impl IterativeResolver {
     pub fn new(client_ip: Ipv4Addr, roots: Vec<RootHint>) -> Self {
         IterativeResolver {
             client_ip,
-            roots,
+            roots: roots.into(),
             query_budget: 64,
             retry_budget: 8,
             timeout_us: 2_000_000,
@@ -344,13 +375,13 @@ impl IterativeResolver {
             penalty_box_enabled: true,
             obs_enabled: true,
             next_id: 1,
-            answer_cache: HashMap::new(),
-            cut_cache: HashMap::new(),
-            health: HashMap::new(),
+            base: Arc::default(),
+            own: Learned::default(),
             queries_sent: 0,
             stats: ResolverStats::default(),
             obs: ResolverObs::default(),
             trace: None,
+            encoder: Encoder::new(),
         }
     }
 
@@ -408,13 +439,21 @@ impl IterativeResolver {
     /// Drop all cached answers and zone cuts (start of a new daily sweep).
     /// Server health is kept: it expires by virtual time instead.
     pub fn clear_cache(&mut self) {
-        self.answer_cache.clear();
-        self.cut_cache.clear();
+        self.own.answers.clear();
+        self.own.cuts.clear();
+        if !self.base.answers.is_empty() || !self.base.cuts.is_empty() {
+            let base = Arc::make_mut(&mut self.base);
+            base.answers.clear();
+            base.cuts.clear();
+        }
     }
 
     /// Drop per-server health state too (a cold-started resolver).
     pub fn clear_health(&mut self) {
-        self.health.clear();
+        self.own.health.clear();
+        if !self.base.health.is_empty() {
+            Arc::make_mut(&mut self.base).health.clear();
+        }
     }
 
     /// Seed the zone-cut cache: start resolutions at or below `cut` from
@@ -427,7 +466,7 @@ impl IterativeResolver {
     /// record) must plant the cut explicitly. No-op for empty `addrs`.
     pub fn seed_cut(&mut self, cut: Name, addrs: Vec<Ipv4Addr>) {
         if !addrs.is_empty() {
-            self.cut_cache.insert(cut, addrs);
+            self.own.cuts.insert(cut, addrs);
         }
     }
 
@@ -448,24 +487,21 @@ impl IterativeResolver {
     /// turning one unlucky warmup timeout into a sweep-wide `attempts=1`
     /// degradation. SRTT survives — it is a rate estimate, not backoff
     /// state — so server ordering stays warm.
+    ///
+    /// The snapshot is shared, not copied: a fork reads it and writes what
+    /// it learns beside it. Forking a resolver that has learned nothing
+    /// since its own fork shares that resolver's snapshot and allocates
+    /// nothing, so a prototype that is forked many times should itself be
+    /// a fork taken after its warmup.
     pub fn fork(&self) -> IterativeResolver {
-        let health = self
-            .health
-            .iter()
-            .map(|(&ip, h)| {
-                (
-                    ip,
-                    ServerHealth {
-                        srtt_us: h.srtt_us,
-                        fails: 0,
-                        penalized_until: SimTime::ZERO,
-                    },
-                )
-            })
-            .collect();
+        let base = if self.own.is_empty() {
+            Arc::clone(&self.base)
+        } else {
+            Arc::new(self.snapshot())
+        };
         IterativeResolver {
             client_ip: self.client_ip,
-            roots: self.roots.clone(),
+            roots: Arc::clone(&self.roots),
             query_budget: self.query_budget,
             retry_budget: self.retry_budget,
             timeout_us: self.timeout_us,
@@ -473,14 +509,63 @@ impl IterativeResolver {
             penalty_box_enabled: self.penalty_box_enabled,
             obs_enabled: self.obs_enabled,
             next_id: self.next_id,
-            answer_cache: self.answer_cache.clone(),
-            cut_cache: self.cut_cache.clone(),
-            health,
+            base,
+            own: Learned::default(),
             queries_sent: 0,
             stats: ResolverStats::default(),
             obs: ResolverObs::default(),
             trace: None,
+            encoder: Encoder::new(),
         }
+    }
+
+    /// Everything this resolver knows, as a fork inherits it: penalty
+    /// boxes dropped, SRTT kept.
+    fn snapshot(&self) -> Learned {
+        let mut all = Learned::clone(&self.base);
+        let own = &self.own;
+        all.answers
+            .extend(own.answers.iter().map(|(k, v)| (k.clone(), v.clone())));
+        all.cuts
+            .extend(own.cuts.iter().map(|(k, v)| (k.clone(), v.clone())));
+        all.health.extend(&own.health);
+        for h in all.health.values_mut() {
+            h.fails = 0;
+            h.penalized_until = SimTime::ZERO;
+        }
+        all
+    }
+
+    /// The cached outcome of resolving `key`, if any.
+    fn cached_answer(&self, key: &(Name, RType)) -> Option<&Result<Resolution, ResolveError>> {
+        self.own
+            .answers
+            .get(key)
+            .or_else(|| self.base.answers.get(key))
+    }
+
+    /// The servers cached for the zone cut `cut`, if any.
+    fn cached_cut(&self, cut: &Name) -> Option<&Vec<Ipv4Addr>> {
+        self.own.cuts.get(cut).or_else(|| self.base.cuts.get(cut))
+    }
+
+    /// What is known of `server`'s health.
+    fn health(&self, server: &Ipv4Addr) -> ServerHealth {
+        let h = self
+            .own
+            .health
+            .get(server)
+            .or_else(|| self.base.health.get(server));
+        h.copied().unwrap_or_default()
+    }
+
+    /// `server`'s health, to update.
+    fn health_mut(&mut self, server: Ipv4Addr) -> &mut ServerHealth {
+        let base = &self.base;
+        self.own
+            .health
+            .entry(server)
+            .or_insert_with(|| base.health.get(&server).copied().unwrap_or_default())
     }
 
     /// Resolve `name`/`rtype`, driving the simulated network (either the
@@ -534,7 +619,8 @@ impl IterativeResolver {
         if depth > 6 {
             return Err(ResolveError::BudgetExhausted);
         }
-        if let Some(cached) = self.answer_cache.get(&(name.clone(), rtype)) {
+        let key = (name.clone(), rtype);
+        if let Some(cached) = self.cached_answer(&key) {
             let cached = cached.clone();
             if self.obs_enabled {
                 self.obs.answer_cache_hits += 1;
@@ -549,8 +635,7 @@ impl IterativeResolver {
             result,
             Err(ResolveError::Timeout | ResolveError::ServFail | ResolveError::BudgetExhausted)
         ) {
-            self.answer_cache
-                .insert((name.clone(), rtype), result.clone());
+            self.own.answers.insert(key, result.clone());
         }
         result
     }
@@ -559,7 +644,7 @@ impl IterativeResolver {
         // Deepest cached cut that is an ancestor of `name`.
         let mut cursor = Some(name.clone());
         while let Some(n) = cursor {
-            if let Some(addrs) = self.cut_cache.get(&n) {
+            if let Some(addrs) = self.cached_cut(&n) {
                 return addrs.clone();
             }
             cursor = n.parent();
@@ -571,21 +656,19 @@ impl IterativeResolver {
     /// (smoothed RTT) before slower, original order as the tiebreak.
     /// Penalized servers stay in the list — if everything else fails they
     /// are still tried, so a penalty can never cause a false failure.
-    fn order_servers(&self, servers: &[Ipv4Addr], now: SimTime) -> Vec<Ipv4Addr> {
+    fn order_servers(&self, servers: &mut [Ipv4Addr], now: SimTime) {
         if !self.penalty_box_enabled {
-            return servers.to_vec();
+            return;
         }
-        let mut ordered = servers.to_vec();
-        ordered.sort_by_key(|addr| {
-            let h = self.health.get(addr).copied().unwrap_or_default();
+        servers.sort_by_key(|addr| {
+            let h = self.health(addr);
             let penalized = h.penalized_until > now;
             (penalized, h.srtt_us)
         });
-        ordered
     }
 
     fn note_success(&mut self, server: Ipv4Addr, rtt_us: u64) {
-        let h = self.health.entry(server).or_default();
+        let h = self.health_mut(server);
         // EWMA with 1/8 gain, like classic TCP SRTT.
         h.srtt_us = h.srtt_us - h.srtt_us / 8 + rtt_us / 8;
         let srtt = h.srtt_us;
@@ -601,7 +684,7 @@ impl IterativeResolver {
     }
 
     fn note_failure(&mut self, server: Ipv4Addr, now: SimTime) {
-        let h = self.health.entry(server).or_default();
+        let h = self.health_mut(server);
         let entered = h.fails == 0;
         h.fails = h.fails.saturating_add(1);
         let shift = (h.fails - 1).min(PENALTY_MAX_SHIFT);
@@ -611,6 +694,8 @@ impl IterativeResolver {
         }
     }
 
+    /// Encode and send one query to `server`; a transport timeout is
+    /// charged to the server here.
     fn send_query<T: Transport>(
         &mut self,
         net: &mut T,
@@ -618,7 +703,7 @@ impl IterativeResolver {
         name: &Name,
         rtype: RType,
         budget: &mut u32,
-    ) -> Result<QueryOutcome, ResolveError> {
+    ) -> Result<Sent, ResolveError> {
         if *budget == 0 {
             return Err(ResolveError::BudgetExhausted);
         }
@@ -631,22 +716,23 @@ impl IterativeResolver {
         });
         let id = self.next_id;
         self.next_id = self.next_id.wrapping_add(1).max(1);
-        let query = Message::query(id, name.clone(), rtype);
-        let bytes = query.encode().map_err(|_| ResolveError::BadResponse)?;
+        self.encoder.clear();
+        Message::encode_query(&mut self.encoder, id, name, rtype);
+        let query = self
+            .encoder
+            .message()
+            .map_err(|_| ResolveError::BadResponse)?;
         // A penalized server gets one transport attempt, not the full
         // retry schedule: we are probing whether it recovered, not
         // betting the query's latency budget on it.
-        let penalized = self.penalty_box_enabled
-            && self
-                .health
-                .get(&server)
-                .is_some_and(|h| h.penalized_until > net.now());
+        let penalized =
+            self.penalty_box_enabled && self.health(&server).penalized_until > net.now();
         let attempts = if penalized { 1 } else { self.attempts };
-        let t0 = net.now();
+        let at = net.now();
         match net.request(
             self.client_ip,
             (server, 53),
-            &bytes,
+            query,
             self.timeout_us,
             attempts,
         ) {
@@ -654,52 +740,62 @@ impl IterativeResolver {
                 self.stats.timeouts += 1;
                 self.note_failure(server, net.now());
                 self.record(TraceEvent::Timeout { server });
-                Ok(QueryOutcome::Timeout)
+                Ok(Sent::Timeout)
             }
-            Ok(reply) => {
-                let msg = Message::decode(&reply).map_err(|_| ResolveError::BadResponse)?;
-                if msg.id != id || !msg.is_response() {
-                    return Err(ResolveError::BadResponse);
-                }
-                let now = net.now();
-                if msg.flags.tc {
-                    self.stats.truncated += 1;
+            Ok(bytes) => Ok(Sent::Reply { id, at, bytes }),
+        }
+    }
+
+    /// Classify `msg`, the reply from `server` to the query with `id` sent
+    /// at `sent`, and charge the outcome to the server's health. `None`
+    /// means the reply is usable: NoError or NXDOMAIN, not truncated, not
+    /// lame.
+    fn classify(
+        &mut self,
+        server: Ipv4Addr,
+        id: u16,
+        sent: SimTime,
+        now: SimTime,
+        msg: &MessageView<'_>,
+    ) -> Result<Option<Failure>, ResolveError> {
+        if msg.id() != id || !msg.is_response() {
+            return Err(ResolveError::BadResponse);
+        }
+        let flags = msg.flags();
+        if flags.tc {
+            self.stats.truncated += 1;
+            self.note_failure(server, now);
+            self.record(TraceEvent::Truncated { server });
+            return Ok(Some(Failure::Truncated));
+        }
+        match flags.rcode {
+            Rcode::NoError | Rcode::NxDomain => {
+                // Lame delegation: the server answered, but
+                // non-authoritatively, with nothing to act on — it does
+                // not actually serve the zone.
+                let lame = flags.rcode == Rcode::NoError
+                    && !flags.aa
+                    && msg.answer_count() == 0
+                    && !msg.authorities().any(|r| r.data.rtype() == RType::Ns);
+                if lame {
+                    self.stats.lame += 1;
                     self.note_failure(server, now);
-                    self.record(TraceEvent::Truncated { server });
-                    return Ok(QueryOutcome::Truncated);
-                }
-                match msg.flags.rcode {
-                    Rcode::NoError | Rcode::NxDomain => {
-                        // Lame delegation: the server answered, but
-                        // non-authoritatively, with nothing to act on —
-                        // it does not actually serve the zone.
-                        let lame = msg.flags.rcode == Rcode::NoError
-                            && !msg.flags.aa
-                            && msg.answers.is_empty()
-                            && !msg.authorities.iter().any(|r| r.data.rtype() == RType::Ns);
-                        if lame {
-                            self.stats.lame += 1;
-                            self.note_failure(server, now);
-                            self.record(TraceEvent::Lame { server });
-                            Ok(QueryOutcome::Lame)
-                        } else {
-                            self.note_success(server, now.as_micros() - t0.as_micros());
-                            Ok(QueryOutcome::Usable(msg))
-                        }
-                    }
-                    Rcode::ServFail => {
-                        self.stats.servfails += 1;
-                        self.note_failure(server, now);
-                        self.record(TraceEvent::ServFail { server });
-                        Ok(QueryOutcome::ServFail)
-                    }
-                    _ => {
-                        // REFUSED and friends: a deliberate answer, not a
-                        // broken box — no penalty, but not usable either.
-                        Ok(QueryOutcome::Refused)
-                    }
+                    self.record(TraceEvent::Lame { server });
+                    Ok(Some(Failure::Lame))
+                } else {
+                    self.note_success(server, now.as_micros() - sent.as_micros());
+                    Ok(None)
                 }
             }
+            Rcode::ServFail => {
+                self.stats.servfails += 1;
+                self.note_failure(server, now);
+                self.record(TraceEvent::ServFail { server });
+                Ok(Some(Failure::ServFail))
+            }
+            // REFUSED and friends: a deliberate answer, not a broken box —
+            // no penalty, but not usable either.
+            _ => Ok(Some(Failure::Refused)),
         }
     }
 
@@ -727,53 +823,63 @@ impl IterativeResolver {
             // usable response. Each failure burns a retry token; when the
             // budget is gone the resolution fails fast instead of walking
             // the rest of a dead NS set.
-            let ordered = self.order_servers(&servers, net.now());
-            let mut response = None;
-            for &server in &ordered {
-                let outcome = self.send_query(net, server, &current_name, rtype, budget)?;
-                match outcome {
-                    QueryOutcome::Usable(msg) => {
-                        response = Some(msg);
-                        break;
+            self.order_servers(&mut servers, net.now());
+            let mut candidates = servers.iter();
+            let mut reply: Vec<u8>;
+            let msg = loop {
+                let Some(&server) = candidates.next() else {
+                    // Classify by the most specific protocol-visible cause.
+                    return Err(if saw_lame {
+                        ResolveError::Lame
+                    } else if saw_servfail {
+                        ResolveError::ServFail
+                    } else if saw_refusal && !saw_timeout {
+                        ResolveError::Refused
+                    } else {
+                        ResolveError::Timeout
+                    });
+                };
+                let failure = match self.send_query(net, server, &current_name, rtype, budget)? {
+                    Sent::Timeout => Failure::Timeout,
+                    Sent::Reply { id, at, bytes } => {
+                        reply = bytes;
+                        let msg =
+                            MessageView::parse(&reply).map_err(|_| ResolveError::BadResponse)?;
+                        match self.classify(server, id, at, net.now(), &msg)? {
+                            None => break msg,
+                            Some(failure) => failure,
+                        }
                     }
-                    QueryOutcome::Timeout => saw_timeout = true,
-                    QueryOutcome::ServFail => saw_servfail = true,
-                    QueryOutcome::Lame => saw_lame = true,
-                    QueryOutcome::Truncated => saw_timeout = true,
-                    QueryOutcome::Refused => saw_refusal = true,
+                };
+                match failure {
+                    Failure::Timeout | Failure::Truncated => saw_timeout = true,
+                    Failure::ServFail => saw_servfail = true,
+                    Failure::Lame => saw_lame = true,
+                    Failure::Refused => saw_refusal = true,
                 }
                 self.stats.retries_spent += 1;
                 if *retries == 0 {
                     return Err(ResolveError::BudgetExhausted);
                 }
                 *retries -= 1;
-            }
-            let Some(msg) = response else {
-                // Classify by the most specific protocol-visible cause.
-                return Err(if saw_lame {
-                    ResolveError::Lame
-                } else if saw_servfail {
-                    ResolveError::ServFail
-                } else if saw_refusal && !saw_timeout {
-                    ResolveError::Refused
-                } else {
-                    ResolveError::Timeout
-                });
             };
 
-            if msg.flags.rcode == Rcode::NxDomain {
+            if msg.flags().rcode == Rcode::NxDomain {
                 return Ok(Resolution::NxDomain);
             }
 
             // Positive answer?
-            if !msg.answers.is_empty() {
-                let has_final = msg.answers.iter().any(|r| r.data.rtype() == rtype);
-                chain.extend(msg.answers.iter().cloned());
+            if msg.answer_count() > 0 {
+                let has_final = msg.answers().any(|r| r.data.rtype() == rtype);
+                let first = chain.len();
+                chain.extend(msg.answers().map(|r| {
+                    Record::new(own_name(r.name, &current_name), r.ttl, r.data.to_rdata())
+                }));
                 if has_final {
                     return Ok(Resolution::Records(chain));
                 }
                 // Pure CNAME response: chase the last target.
-                if let Some(target) = msg.answers.iter().rev().find_map(|r| match &r.data {
+                if let Some(target) = chain[first..].iter().rev().find_map(|r| match &r.data {
                     RData::Cname(t) => Some(t.clone()),
                     _ => None,
                 }) {
@@ -791,30 +897,25 @@ impl IterativeResolver {
             }
 
             // Referral?
-            let ns_records: Vec<&Record> = msg
-                .authorities
-                .iter()
-                .filter(|r| r.data.rtype() == RType::Ns)
-                .collect();
-            if !ns_records.is_empty() && !msg.flags.aa {
-                let cut = ns_records[0].name.clone();
-                let targets: Vec<Name> = ns_records
-                    .iter()
-                    .filter_map(|r| match &r.data {
-                        RData::Ns(t) => Some(t.clone()),
+            let first_ns = msg.authorities().find(|r| r.data.rtype() == RType::Ns);
+            if let (Some(first_ns), false) = (first_ns, msg.flags().aa) {
+                let cut = own_name(first_ns.name, &current_name);
+                let targets = || {
+                    msg.authorities().filter_map(|r| match r.data {
+                        RDataView::Ns(t) => Some(t),
                         _ => None,
                     })
-                    .collect();
+                };
                 // Bailiwick check: only accept glue whose owner is one of
                 // the referral's NS targets. Anything else in the
                 // additional section (cache-poisoning style extras) is
                 // discarded and, if needed, resolved independently.
                 let mut rejected_glue = 0usize;
                 let mut addrs: Vec<Ipv4Addr> = Vec::new();
-                for r in &msg.additionals {
-                    if let RData::A(ip) = &r.data {
-                        if targets.contains(&r.name) {
-                            addrs.push(*ip);
+                for r in msg.additionals() {
+                    if let RDataView::A(ip) = r.data {
+                        if targets().any(|t| t == r.name) {
+                            addrs.push(ip);
                         } else {
                             rejected_glue += 1;
                         }
@@ -825,14 +926,15 @@ impl IterativeResolver {
                     // Out-of-bailiwick NS: resolve their addresses —
                     // centrally through the dependency cache when the
                     // engine provides one, inline otherwise.
-                    for t in &targets {
-                        if let Some(shared) = deps.ns_target_a(t) {
+                    for t in targets() {
+                        let t = t.to_name();
+                        if let Some(shared) = deps.ns_target_a(&t) {
                             if self.obs_enabled {
                                 self.obs.deps_cache_hits += 1;
                             }
                             addrs.extend(shared);
                         } else if let Ok(res) =
-                            self.resolve_inner(net, t, RType::A, budget, retries, depth + 1, deps)
+                            self.resolve_inner(net, &t, RType::A, budget, retries, depth + 1, deps)
                         {
                             addrs.extend(res.addresses());
                         }
@@ -849,21 +951,35 @@ impl IterativeResolver {
                 if addrs.is_empty() {
                     return Err(ResolveError::NoNameservers);
                 }
-                self.cut_cache.insert(cut, addrs.clone());
+                self.own.cuts.insert(cut, addrs.clone());
                 servers = addrs;
                 continue;
             }
 
             // Authoritative empty answer: NoData.
-            if msg.flags.aa {
+            if msg.flags().aa {
                 return Ok(Resolution::NoData);
             }
             // Neither answer, referral, nor authoritative denial, yet not
-            // lame-shaped either (send_query screens those out).
+            // lame-shaped either (`classify` screens those out).
             return Err(ResolveError::BadResponse);
         }
         Err(ResolveError::BudgetExhausted)
     }
+}
+
+/// `name` as an owned [`Name`]: shared with `known` or one of its
+/// ancestors when it spells one of them (the usual case for the owner
+/// names of a reply), copied out of the message otherwise.
+fn own_name(name: NameView<'_>, known: &Name) -> Name {
+    let mut cursor = Some(known.clone());
+    while let Some(n) = cursor {
+        if name == n {
+            return n;
+        }
+        cursor = n.parent();
+    }
+    name.to_name()
 }
 
 #[cfg(test)]
@@ -1140,6 +1256,45 @@ mod tests {
             .resolve(&mut net, &name("ns2.hoster.com"), RType::A)
             .unwrap();
         assert_eq!(res.addresses(), vec![HOSTER_DNS_IP]);
+    }
+
+    #[test]
+    fn forks_see_what_every_ancestor_learned() {
+        let (mut net, mut r) = build_world();
+        r.resolve(&mut net, &name("example.ru"), RType::A).unwrap();
+        // Learned before the fork: shared through the snapshot.
+        let mut child = r.fork();
+        child
+            .resolve(&mut net, &name("example.ru"), RType::A)
+            .unwrap();
+        assert_eq!(child.queries_sent(), 0, "answer cached before the fork");
+        // Learned by the fork itself, then inherited by its own forks.
+        child
+            .resolve(&mut net, &name("ns2.hoster.com"), RType::A)
+            .unwrap();
+        assert!(child.queries_sent() > 0);
+        let mut grandchild = child.fork();
+        for (qname, rtype) in [("example.ru", RType::A), ("ns2.hoster.com", RType::A)] {
+            grandchild.resolve(&mut net, &name(qname), rtype).unwrap();
+        }
+        assert_eq!(grandchild.queries_sent(), 0);
+        // What a resolver learns after a fork stays its own.
+        r.resolve(&mut net, &name("www.example.ru"), RType::A)
+            .unwrap();
+        let mut sibling = child.fork().fork();
+        sibling
+            .resolve(&mut net, &name("www.example.ru"), RType::A)
+            .unwrap();
+        assert!(
+            sibling.queries_sent() > 0,
+            "learned by the parent after the fork"
+        );
+        // Clearing drops inherited answers and cuts alike.
+        grandchild.clear_cache();
+        grandchild
+            .resolve(&mut net, &name("example.ru"), RType::A)
+            .unwrap();
+        assert!(grandchild.queries_sent() > 1, "walk restarts at the root");
     }
 
     #[test]

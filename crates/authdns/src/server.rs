@@ -1,17 +1,20 @@
 //! Authoritative server: zone storage and query answering.
 
 use parking_lot::RwLock;
-use ruwhere_dns::zone::Lookup;
-use ruwhere_dns::{Message, Name, Rcode, Zone};
+use ruwhere_dns::message::put_header;
+use ruwhere_dns::wire::Encoder;
+use ruwhere_dns::zone::{Glue, Lookup, RRset};
+use ruwhere_dns::{Flags, Message, MessageView, Name, RData, RType, Rcode, Record, Zone};
 use ruwhere_netsim::{Service, SimTime};
-use std::collections::BTreeMap;
+use ruwhere_types::FnvMap;
+use std::cell::RefCell;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
 /// A set of zones served by one operator, keyed by origin.
 #[derive(Debug, Default)]
 pub struct ZoneSet {
-    zones: BTreeMap<Name, Zone>,
+    zones: FnvMap<Name, Zone>,
 }
 
 impl ZoneSet {
@@ -109,100 +112,224 @@ impl AuthServer {
         Arc::clone(&self.behavior)
     }
 
-    /// Answer `query` against the zone set (the wire-independent core).
+    /// Answer `query` against the zone set: the owned form of the reply
+    /// the server sends on the wire, from the same borrowed lookup.
     pub fn answer(zones: &ZoneSet, query: &Message) -> Message {
-        let Some(q) = query.questions.first() else {
-            return Message::response_to(query, Rcode::FormErr);
-        };
-        let Some(zone) = zones.find_best(&q.name) else {
-            return Message::response_to(query, Rcode::Refused);
-        };
-        let mut resp = Message::response_to(query, Rcode::NoError);
-        match zone.lookup(&q.name, q.rtype) {
-            Lookup::Answer(records) => {
-                resp.flags.aa = true;
-                resp.answers = records;
-            }
-            Lookup::Cname(cname) => {
-                resp.flags.aa = true;
-                // Chase in-zone as far as possible, like real servers do.
-                let mut chain = vec![cname.clone()];
-                let mut target = match &cname.data {
-                    ruwhere_dns::RData::Cname(t) => t.clone(),
-                    _ => unreachable!("Lookup::Cname holds a CNAME"),
-                };
-                for _ in 0..8 {
-                    match zone.lookup(&target, q.rtype) {
-                        Lookup::Answer(mut recs) => {
-                            chain.append(&mut recs);
-                            break;
-                        }
-                        Lookup::Cname(next) => {
-                            target = match &next.data {
-                                ruwhere_dns::RData::Cname(t) => t.clone(),
-                                _ => unreachable!(),
-                            };
-                            chain.push(next);
-                        }
-                        _ => break,
-                    }
-                }
-                resp.answers = chain;
-            }
-            Lookup::Delegation { ns, glue } => {
-                resp.flags.aa = false;
-                resp.authorities = ns;
-                resp.additionals = glue;
-            }
-            Lookup::NoData => {
-                resp.flags.aa = true;
-                resp.authorities = vec![zone.soa_record()];
-            }
-            Lookup::NxDomain => {
-                resp.flags.aa = true;
-                resp.flags.rcode = Rcode::NxDomain;
-                resp.authorities = vec![zone.soa_record()];
-            }
-            Lookup::OutOfZone => {
-                resp.flags.rcode = Rcode::Refused;
-            }
+        match query.questions.first() {
+            None => Message::response_to(query, Rcode::FormErr),
+            Some(q) => Reply::lookup(zones, &q.name, q.rtype).to_message(query),
         }
-        resp
     }
-}
 
-impl AuthServer {
-    /// The full request path (behaviour gate, decode, answer, encode) —
-    /// needs only shared access: zones and behaviour live behind their
-    /// own locks.
+    /// The full request path: behaviour gate, parse, answer, encode. It
+    /// needs only shared access (zones and behaviour live behind their
+    /// own locks), and it encodes the reply straight from the zone's
+    /// records and the query's bytes.
     fn respond(&self, payload: &[u8]) -> Option<Vec<u8>> {
         let behavior = *self.behavior.read();
         if behavior == ServerBehavior::Silent {
             return None;
         }
-        let query = Message::decode(payload).ok()?;
-        if query.is_response() || query.questions.is_empty() {
+        let query = MessageView::parse(payload).ok()?;
+        if query.is_response() || query.question_count() == 0 {
             return None;
         }
-        let resp = match behavior {
-            ServerBehavior::Refused => Message::response_to(&query, Rcode::Refused),
-            ServerBehavior::ServFail => Message::response_to(&query, Rcode::ServFail),
-            ServerBehavior::Truncated => {
-                let mut m = Message::response_to(&query, Rcode::NoError);
-                m.flags.tc = true;
-                m
-            }
-            ServerBehavior::Lame => {
-                let mut m = Message::response_to(&query, Rcode::NoError);
-                m.flags.aa = false;
-                m
-            }
+        let zones;
+        let reply = match behavior {
+            ServerBehavior::Refused => Reply::bare(Rcode::Refused),
+            ServerBehavior::ServFail => Reply::bare(Rcode::ServFail),
+            ServerBehavior::Truncated => Reply {
+                tc: true,
+                ..Reply::bare(Rcode::NoError)
+            },
+            ServerBehavior::Lame => Reply::bare(Rcode::NoError),
             ServerBehavior::Normal | ServerBehavior::Silent => {
-                Self::answer(&self.zones.read(), &query)
+                zones = self.zones.read();
+                let q = query.questions().next()?;
+                Reply::lookup(&zones, &q.name.to_name(), q.rtype)
             }
         };
-        resp.encode().ok()
+        reply.encode(&query)
     }
+}
+
+thread_local! {
+    /// The encoder every reply on this thread is written into before it is
+    /// copied out at its exact size. Servers are shared by all the lanes
+    /// of a sweep, which run on many threads, so the reuse is per thread.
+    static REPLY_ENCODER: RefCell<Encoder> = RefCell::new(Encoder::new());
+}
+
+/// Longest in-zone CNAME chain a reply follows: the CNAME at the question
+/// and up to eight more.
+const MAX_CHAIN: usize = 9;
+
+/// One reply, borrowed from the zone it answers from: the header bits and
+/// the records of its sections. [`AuthServer::answer`] clones it into a
+/// [`Message`]; [`AuthServer::respond`] encodes it directly.
+struct Reply<'z> {
+    rcode: Rcode,
+    aa: bool,
+    tc: bool,
+    /// The in-zone CNAME chain from the question on.
+    chain: [Option<&'z Record>; MAX_CHAIN],
+    /// Then the records of the queried type.
+    answer: Option<RRset<'z>>,
+    /// The authority section.
+    authority: Authority<'z>,
+    /// The additional section: glue for a referral.
+    glue: Option<Glue<'z>>,
+}
+
+/// What a reply's authority section holds.
+enum Authority<'z> {
+    None,
+    /// The cut's NS records, on a referral.
+    Ns(RRset<'z>),
+    /// The zone's SOA, on a negative answer.
+    Soa(&'z Record),
+}
+
+impl<'z> Reply<'z> {
+    /// A reply with `rcode` and empty sections.
+    fn bare(rcode: Rcode) -> Self {
+        Reply {
+            rcode,
+            aa: false,
+            tc: false,
+            chain: [None; MAX_CHAIN],
+            answer: None,
+            authority: Authority::None,
+            glue: None,
+        }
+    }
+
+    /// The authoritative answer to `qname`/`qtype` from the zone set.
+    fn lookup(zones: &'z ZoneSet, qname: &Name, qtype: RType) -> Self {
+        let Some(zone) = zones.find_best(qname) else {
+            return Reply::bare(Rcode::Refused);
+        };
+        let mut reply = Reply::bare(Rcode::NoError);
+        match zone.lookup(qname, qtype) {
+            Lookup::Answer(records) => {
+                reply.aa = true;
+                reply.answer = Some(records);
+            }
+            Lookup::Cname(cname) => {
+                reply.aa = true;
+                // Chase in-zone as far as possible, like real servers do.
+                reply.chain[0] = Some(cname);
+                let mut target = cname;
+                for link in &mut reply.chain[1..] {
+                    let RData::Cname(next) = &target.data else {
+                        unreachable!("Lookup::Cname holds a CNAME")
+                    };
+                    match zone.lookup(next, qtype) {
+                        Lookup::Answer(records) => {
+                            reply.answer = Some(records);
+                            break;
+                        }
+                        Lookup::Cname(cname) => {
+                            *link = Some(cname);
+                            target = cname;
+                        }
+                        _ => break,
+                    }
+                }
+            }
+            Lookup::Delegation { ns, glue } => {
+                reply.authority = Authority::Ns(ns);
+                reply.glue = Some(glue);
+            }
+            Lookup::NoData => {
+                reply.aa = true;
+                reply.authority = Authority::Soa(zone.soa_record());
+            }
+            Lookup::NxDomain => {
+                reply.aa = true;
+                reply.rcode = Rcode::NxDomain;
+                reply.authority = Authority::Soa(zone.soa_record());
+            }
+            Lookup::OutOfZone => reply.rcode = Rcode::Refused,
+        }
+        reply
+    }
+
+    /// The reply's header flags, answering a query with flags `query`.
+    fn flags(&self, query: Flags) -> Flags {
+        Flags {
+            aa: self.aa,
+            tc: self.tc,
+            ..Flags::reply_to(query, self.rcode)
+        }
+    }
+
+    fn answers(&self) -> impl Iterator<Item = &'z Record> + '_ {
+        self.chain
+            .iter()
+            .map_while(|r| *r)
+            .chain(self.answer.iter().flat_map(|a| a.iter()))
+    }
+
+    fn authorities(&self) -> impl Iterator<Item = &'z Record> + '_ {
+        let (ns, soa) = match &self.authority {
+            Authority::None => (None, None),
+            Authority::Ns(ns) => (Some(ns), None),
+            Authority::Soa(soa) => (None, Some(*soa)),
+        };
+        ns.into_iter().flat_map(|ns| ns.iter()).chain(soa)
+    }
+
+    fn additionals(&self) -> impl Iterator<Item = &'z Record> + '_ {
+        self.glue.iter().flat_map(|g| g.iter())
+    }
+
+    /// The reply as a [`Message`] answering `query`.
+    fn to_message(&self, query: &Message) -> Message {
+        Message {
+            id: query.id,
+            flags: self.flags(query.flags),
+            questions: query.questions.clone(),
+            answers: self.answers().cloned().collect(),
+            authorities: self.authorities().cloned().collect(),
+            additionals: self.additionals().cloned().collect(),
+        }
+    }
+
+    /// The reply's wire bytes answering `query`: byte for byte
+    /// `self.to_message(&query.to_message()).encode()`.
+    fn encode(&self, query: &MessageView<'_>) -> Option<Vec<u8>> {
+        REPLY_ENCODER.with(|enc| {
+            let enc = &mut *enc.borrow_mut();
+            enc.clear();
+            // The record counts are patched in once the sections are
+            // written, so each section is walked once.
+            let counts = [query.question_count(), 0, 0, 0];
+            put_header(enc, query.id(), self.flags(query.flags()), counts);
+            for q in query.questions() {
+                q.encode(enc);
+            }
+            let sections = [
+                encode_all(enc, self.answers()),
+                encode_all(enc, self.authorities()),
+                encode_all(enc, self.additionals()),
+            ];
+            for (at, n) in [6, 8, 10].into_iter().zip(sections) {
+                enc.patch_u16(at, n);
+            }
+            enc.message().ok().map(<[u8]>::to_vec)
+        })
+    }
+}
+
+/// Encode `records` into `enc`; returns how many there were.
+fn encode_all<'z>(enc: &mut Encoder, records: impl Iterator<Item = &'z Record>) -> u16 {
+    let mut n = 0u16;
+    for r in records {
+        r.encode(enc);
+        n = n.wrapping_add(1);
+    }
+    n
 }
 
 impl Service for AuthServer {

@@ -11,6 +11,9 @@
 //!   TXT, DS.
 //! * [`Message`] — full query/response messages with header flags, questions
 //!   and the three record sections.
+//! * [`MessageView`] — a message validated in place, read through borrowed
+//!   [`QuestionView`]s and [`RecordView`]s without copying; its parse is
+//!   the one decoder behind [`Message::decode`].
 //! * [`zone`] — an in-memory zone representation plus a master-file-style
 //!   textual format, used by the registry simulator to publish daily zone
 //!   snapshots and by the authoritative servers to load them.
@@ -42,8 +45,8 @@ pub mod rdata;
 pub mod wire;
 pub mod zone;
 
-pub use message::{Flags, Message, Opcode, Question, Rcode};
-pub use name::Name;
-pub use rdata::{RData, RType, Record, SoaData, CLASS_IN};
+pub use message::{Flags, Message, MessageView, Opcode, Question, QuestionView, Rcode};
+pub use name::{Name, NameView};
+pub use rdata::{RData, RDataView, RType, Record, RecordView, SoaData, CLASS_IN};
 pub use wire::{WireError, MAX_MESSAGE_SIZE};
 pub use zone::{Zone, ZoneDiff, ZoneParseError};

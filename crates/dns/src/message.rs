@@ -1,7 +1,7 @@
 //! DNS messages: header, question, and record sections.
 
-use crate::name::Name;
-use crate::rdata::{RType, Record, CLASS_IN};
+use crate::name::{Name, NameView};
+use crate::rdata::{RType, Record, RecordView, CLASS_IN};
 use crate::wire::{Decoder, Encoder, WireError};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -113,6 +113,18 @@ pub struct Flags {
 }
 
 impl Flags {
+    /// The flags of a reply to a query with flags `query`: QR set, opcode
+    /// and RD echoed, everything else clear but `rcode`.
+    pub fn reply_to(query: Flags, rcode: Rcode) -> Flags {
+        Flags {
+            qr: true,
+            opcode: query.opcode,
+            rd: query.rd,
+            rcode,
+            ..Flags::default()
+        }
+    }
+
     fn encode(self) -> u16 {
         (u16::from(self.qr) << 15)
             | (u16::from(self.opcode.code()) << 11)
@@ -149,6 +161,46 @@ impl Question {
     /// Convenience constructor.
     pub fn new(name: Name, rtype: RType) -> Self {
         Question { name, rtype }
+    }
+
+    /// Encode name, type and class into `enc`.
+    pub fn encode(&self, enc: &mut Encoder) {
+        self.name.encode(enc);
+        enc.put_u16(self.rtype.code());
+        enc.put_u16(CLASS_IN);
+    }
+}
+
+/// A question validated inside a message and not copied.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct QuestionView<'a> {
+    /// Queried name.
+    pub name: NameView<'a>,
+    /// Queried type.
+    pub rtype: RType,
+}
+
+impl<'a> QuestionView<'a> {
+    /// Validate one question at the decoder's cursor and move past it.
+    pub fn parse(dec: &mut Decoder<'a>) -> Result<Self, WireError> {
+        let name = NameView::parse(dec)?;
+        let code = dec.get_u16()?;
+        let rtype = RType::from_code(code).ok_or(WireError::UnknownType(code))?;
+        let _class = dec.get_u16()?;
+        Ok(QuestionView { name, rtype })
+    }
+
+    /// Encode name, type and class into `enc` exactly as the decoded
+    /// [`Question`] encodes.
+    pub fn encode(&self, enc: &mut Encoder) {
+        self.name.encode(enc);
+        enc.put_u16(self.rtype.code());
+        enc.put_u16(CLASS_IN);
+    }
+
+    /// The question as an owned [`Question`].
+    pub fn to_question(&self) -> Question {
+        Question::new(self.name.to_name(), self.rtype)
     }
 }
 
@@ -195,13 +247,7 @@ impl Message {
     pub fn response_to(query: &Message, rcode: Rcode) -> Self {
         Message {
             id: query.id,
-            flags: Flags {
-                qr: true,
-                opcode: query.flags.opcode,
-                rd: query.flags.rd,
-                rcode,
-                ..Flags::default()
-            },
+            flags: Flags::reply_to(query.flags, rcode),
             questions: query.questions.clone(),
             answers: Vec::new(),
             authorities: Vec::new(),
@@ -212,16 +258,19 @@ impl Message {
     /// Encode to wire bytes.
     pub fn encode(&self) -> Result<Vec<u8>, WireError> {
         let mut e = Encoder::new();
-        e.put_u16(self.id);
-        e.put_u16(self.flags.encode());
-        e.put_u16(self.questions.len() as u16);
-        e.put_u16(self.answers.len() as u16);
-        e.put_u16(self.authorities.len() as u16);
-        e.put_u16(self.additionals.len() as u16);
+        put_header(
+            &mut e,
+            self.id,
+            self.flags,
+            [
+                self.questions.len(),
+                self.answers.len(),
+                self.authorities.len(),
+                self.additionals.len(),
+            ],
+        );
         for q in &self.questions {
-            q.name.encode(&mut e);
-            e.put_u16(q.rtype.code());
-            e.put_u16(CLASS_IN);
+            q.encode(&mut e);
         }
         for r in self
             .answers
@@ -234,50 +283,176 @@ impl Message {
         e.finish()
     }
 
-    /// Decode from wire bytes; rejects trailing garbage.
-    pub fn decode(buf: &[u8]) -> Result<Self, WireError> {
-        let mut d = Decoder::new(buf);
-        let id = d.get_u16()?;
-        let flags = Flags::decode(d.get_u16()?);
-        let qd = d.get_u16()? as usize;
-        let an = d.get_u16()? as usize;
-        let ns = d.get_u16()? as usize;
-        let ar = d.get_u16()? as usize;
-
-        let mut questions = Vec::with_capacity(qd.min(32));
-        for _ in 0..qd {
-            let name = Name::decode(&mut d)?;
-            let code = d.get_u16()?;
-            let rtype = RType::from_code(code).ok_or(WireError::UnknownType(code))?;
-            let _class = d.get_u16()?;
-            questions.push(Question { name, rtype });
-        }
-        let read_section = |n: usize, d: &mut Decoder<'_>| -> Result<Vec<Record>, WireError> {
-            let mut v = Vec::with_capacity(n.min(64));
-            for _ in 0..n {
-                v.push(Record::decode(d)?);
-            }
-            Ok(v)
+    /// Encode [`Message::query`]`(id, name, rtype)` into `enc` without
+    /// building the message, so a client can encode every query into one
+    /// reused [`Encoder`]. Call [`Encoder::clear`] first.
+    pub fn encode_query(enc: &mut Encoder, id: u16, name: &Name, rtype: RType) {
+        let flags = Flags {
+            rd: true,
+            ..Flags::default()
         };
-        let answers = read_section(an, &mut d)?;
-        let authorities = read_section(ns, &mut d)?;
-        let additionals = read_section(ar, &mut d)?;
-        if d.remaining() != 0 {
-            return Err(WireError::TrailingBytes(d.remaining()));
-        }
-        Ok(Message {
-            id,
-            flags,
-            questions,
-            answers,
-            authorities,
-            additionals,
-        })
+        put_header(enc, id, flags, [1, 0, 0, 0]);
+        Question::new(name.clone(), rtype).encode(enc);
+    }
+
+    /// Decode from wire bytes; rejects trailing garbage. This is
+    /// [`MessageView::parse`] followed by [`MessageView::to_message`].
+    pub fn decode(buf: &[u8]) -> Result<Self, WireError> {
+        MessageView::parse(buf).map(|v| v.to_message())
     }
 
     /// Whether this message is a response.
     pub fn is_response(&self) -> bool {
         self.flags.qr
+    }
+}
+
+/// Write a header: id, flags, then the question, answer, authority and
+/// additional counts.
+pub fn put_header(enc: &mut Encoder, id: u16, flags: Flags, counts: [usize; 4]) {
+    enc.put_u16(id);
+    enc.put_u16(flags.encode());
+    for n in counts {
+        enc.put_u16(n as u16);
+    }
+}
+
+/// A message validated in place: the header, plus iterators over the
+/// question and record sections that read the wire bytes without copying
+/// them.
+///
+/// [`MessageView::parse`] is the one message decoder. It accepts exactly
+/// the inputs [`Message::decode`] accepts and fails with the same
+/// [`WireError`]; [`MessageView::to_message`] materialises the rest.
+///
+/// ```
+/// use ruwhere_dns::{Message, MessageView, RType};
+///
+/// let name = "example.ru".parse().unwrap();
+/// let wire = Message::query(7, name, RType::Ns).encode().unwrap();
+/// let view = MessageView::parse(&wire).unwrap();
+/// assert_eq!(view.id(), 7);
+/// assert_eq!(view.questions().next().unwrap().rtype, RType::Ns);
+/// assert_eq!(view.to_message(), Message::decode(&wire).unwrap());
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct MessageView<'a> {
+    wire: &'a [u8],
+    id: u16,
+    flags: Flags,
+    /// Question, answer, authority and additional counts.
+    counts: [u16; 4],
+    /// Offsets of the first question, answer, authority and additional.
+    starts: [usize; 4],
+}
+
+/// Length of the fixed header.
+const HEADER_LEN: usize = 12;
+
+impl<'a> MessageView<'a> {
+    /// Validate `wire` as one complete message; rejects trailing garbage.
+    pub fn parse(wire: &'a [u8]) -> Result<Self, WireError> {
+        let mut d = Decoder::new(wire);
+        let id = d.get_u16()?;
+        let flags = Flags::decode(d.get_u16()?);
+        let mut counts = [0u16; 4];
+        for c in &mut counts {
+            *c = d.get_u16()?;
+        }
+        let mut starts = [HEADER_LEN; 4];
+        for _ in 0..counts[0] {
+            QuestionView::parse(&mut d)?;
+        }
+        for section in 1..4 {
+            starts[section] = d.position();
+            for _ in 0..counts[section] {
+                RecordView::parse(&mut d)?;
+            }
+        }
+        if d.remaining() != 0 {
+            return Err(WireError::TrailingBytes(d.remaining()));
+        }
+        Ok(MessageView {
+            wire,
+            id,
+            flags,
+            counts,
+            starts,
+        })
+    }
+
+    /// Transaction id.
+    pub fn id(&self) -> u16 {
+        self.id
+    }
+
+    /// Header flags.
+    pub fn flags(&self) -> Flags {
+        self.flags
+    }
+
+    /// Whether this message is a response.
+    pub fn is_response(&self) -> bool {
+        self.flags.qr
+    }
+
+    /// Number of questions.
+    pub fn question_count(&self) -> usize {
+        self.counts[0] as usize
+    }
+
+    /// Number of answer records.
+    pub fn answer_count(&self) -> usize {
+        self.counts[1] as usize
+    }
+
+    /// The question section.
+    pub fn questions(&self) -> impl Iterator<Item = QuestionView<'a>> {
+        let mut d = self.decoder_at(0);
+        (0..self.counts[0]).map(move |_| {
+            QuestionView::parse(&mut d).expect("MessageView::parse validated every question")
+        })
+    }
+
+    /// The answer section.
+    pub fn answers(&self) -> impl Iterator<Item = RecordView<'a>> {
+        self.records(1)
+    }
+
+    /// The authority section.
+    pub fn authorities(&self) -> impl Iterator<Item = RecordView<'a>> {
+        self.records(2)
+    }
+
+    /// The additional section.
+    pub fn additionals(&self) -> impl Iterator<Item = RecordView<'a>> {
+        self.records(3)
+    }
+
+    fn decoder_at(&self, section: usize) -> Decoder<'a> {
+        let mut d = Decoder::new(self.wire);
+        d.seek(self.starts[section])
+            .expect("section offsets lie inside the message");
+        d
+    }
+
+    fn records(&self, section: usize) -> impl Iterator<Item = RecordView<'a>> {
+        let mut d = self.decoder_at(section);
+        (0..self.counts[section]).map(move |_| {
+            RecordView::parse(&mut d).expect("MessageView::parse validated every record")
+        })
+    }
+
+    /// The whole message as an owned [`Message`].
+    pub fn to_message(&self) -> Message {
+        Message {
+            id: self.id,
+            flags: self.flags,
+            questions: self.questions().map(|q| q.to_question()).collect(),
+            answers: self.answers().map(|r| r.to_record()).collect(),
+            authorities: self.authorities().map(|r| r.to_record()).collect(),
+            additionals: self.additionals().map(|r| r.to_record()).collect(),
+        }
     }
 }
 

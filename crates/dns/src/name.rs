@@ -5,6 +5,7 @@ use ruwhere_types::DomainName;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::str::FromStr;
 use std::sync::Arc;
 
@@ -20,8 +21,11 @@ const MAX_POINTER_HOPS: usize = 64;
 ///
 /// The labels live in one shared buffer: each label is its length octet
 /// followed by its lowercase bytes, leftmost label first, without the
-/// terminal zero octet (the root is the empty buffer). Cloning bumps a
-/// reference count; a suffix of the name is a tail slice of the buffer.
+/// terminal zero octet (the root is the empty buffer). A name is the tail
+/// of its buffer from `start` on, so cloning it and taking its
+/// [`parent`](Name::parent) both bump a reference count and copy nothing.
+/// Equality and hashing see only the name's own bytes, never the labels
+/// before `start`.
 ///
 /// Names order label by label, leftmost first (`ab.` before `b.`), which
 /// is not the bytewise order of the buffer.
@@ -34,22 +38,37 @@ const MAX_POINTER_HOPS: usize = 64;
 /// assert!(n.is_subdomain_of(&"example.ru".parse().unwrap()));
 /// assert!(Name::root().is_root());
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Serialize, Deserialize)]
 pub struct Name {
     wire: Arc<[u8]>,
+    /// Offset of this name's first label in `wire` (a name is at most 255
+    /// octets long, so its labels start below 255).
+    start: u8,
 }
 
 impl Name {
+    /// A name over the whole of `labels` (length-prefixed lowercase
+    /// labels, no terminal zero).
+    fn new(labels: &[u8]) -> Self {
+        Name {
+            wire: Arc::from(labels),
+            start: 0,
+        }
+    }
+
     /// The root name (`.`).
     pub fn root() -> Self {
-        Name {
-            wire: Arc::from(&[][..]),
-        }
+        Name::new(&[])
+    }
+
+    /// This name's length-prefixed labels, without the terminal zero.
+    fn bytes(&self) -> &[u8] {
+        &self.wire[self.start as usize..]
     }
 
     /// Whether this is the root name.
     pub fn is_root(&self) -> bool {
-        self.wire.is_empty()
+        self.bytes().is_empty()
     }
 
     /// Build a name from presentation labels. Each label is lowercased and
@@ -82,9 +101,7 @@ impl Name {
         if len + 1 > MAX_WIRE_LEN {
             return Err(WireError::NameTooLong);
         }
-        Ok(Name {
-            wire: Arc::from(&buf[..len]),
-        })
+        Ok(Name::new(&buf[..len]))
     }
 
     /// Number of labels.
@@ -94,20 +111,22 @@ impl Name {
 
     /// Iterate over labels (leftmost first).
     pub fn labels(&self) -> impl Iterator<Item = &[u8]> {
-        Labels(&self.wire)
+        Labels(self.bytes())
     }
 
     /// The parent name (one label removed from the left), or `None` at root.
+    /// It shares this name's buffer.
     pub fn parent(&self) -> Option<Name> {
-        let first = *self.wire.first()?;
+        let first = *self.bytes().first()?;
         Some(Name {
-            wire: Arc::from(&self.wire[1 + first as usize..]),
+            wire: Arc::clone(&self.wire),
+            start: self.start + 1 + first,
         })
     }
 
     /// Whether `self` is equal to or a subdomain of `ancestor`.
     pub fn is_subdomain_of(&self, ancestor: &Name) -> bool {
-        let (wire, tail) = (&self.wire[..], &ancestor.wire[..]);
+        let (wire, tail) = (self.bytes(), ancestor.bytes());
         let Some(start) = wire.len().checked_sub(tail.len()) else {
             return false;
         };
@@ -121,33 +140,19 @@ impl Name {
 
     /// Wire length of this name when encoded without compression.
     pub fn wire_len(&self) -> usize {
-        self.wire.len() + 1
+        self.bytes().len() + 1
     }
 
     /// Encode into `enc`, compressing against (and registering with) the
     /// suffixes the encoder has already written.
     pub fn encode(&self, enc: &mut Encoder) {
-        // Walk suffixes from the full name down; at the first suffix already
-        // written, emit a pointer and stop.
-        let wire = &self.wire[..];
-        let mut at = 0;
-        while at < wire.len() {
-            if let Some(off) = enc.lookup_suffix(&wire[at..]) {
-                enc.put_u16(0xC000 | off);
-                return;
-            }
-            enc.remember_suffix(enc.position());
-            let end = at + 1 + wire[at] as usize;
-            enc.put_slice(&wire[at..end]);
-            at = end;
-        }
-        enc.put_u8(0);
+        encode_labels(self.bytes(), enc);
     }
 
     /// Encode without compression (used inside RDATA where some historical
     /// servers choke on pointers; also for deterministic digest input).
     pub fn encode_uncompressed(&self, enc: &mut Encoder) {
-        enc.put_slice(&self.wire);
+        enc.put_slice(self.bytes());
         enc.put_u8(0);
     }
 
@@ -155,68 +160,7 @@ impl Name {
     /// cursor ends just past the name's in-place encoding; pointer targets
     /// are followed via random access without moving the cursor there.
     pub fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
-        let msg = dec.message();
-        let mut buf = [0u8; MAX_WIRE_LEN];
-        let mut len = 0usize;
-        let mut pos = dec.position();
-        let mut hops = 0usize;
-        let mut end_pos = None;
-
-        loop {
-            if pos >= msg.len() {
-                return Err(WireError::Truncated);
-            }
-            let label_len = msg[pos];
-            match label_len & 0xC0 {
-                0x00 => {
-                    pos += 1;
-                    if label_len == 0 {
-                        if end_pos.is_none() {
-                            end_pos = Some(pos);
-                        }
-                        break;
-                    }
-                    let n = label_len as usize;
-                    if pos + n > msg.len() {
-                        return Err(WireError::Truncated);
-                    }
-                    // The labels so far, this one, and the terminal zero.
-                    if len + 1 + n + 1 > MAX_WIRE_LEN {
-                        return Err(WireError::NameTooLong);
-                    }
-                    buf[len] = label_len;
-                    let dst = &mut buf[len + 1..len + 1 + n];
-                    dst.copy_from_slice(&msg[pos..pos + n]);
-                    dst.make_ascii_lowercase();
-                    len += 1 + n;
-                    pos += n;
-                }
-                0xC0 => {
-                    if pos + 1 >= msg.len() {
-                        return Err(WireError::Truncated);
-                    }
-                    let target = (((label_len & 0x3F) as usize) << 8) | msg[pos + 1] as usize;
-                    if end_pos.is_none() {
-                        end_pos = Some(pos + 2);
-                    }
-                    // Pointers must point strictly backwards to prevent loops.
-                    if target >= pos {
-                        return Err(WireError::BadPointer);
-                    }
-                    hops += 1;
-                    if hops > MAX_POINTER_HOPS {
-                        return Err(WireError::BadPointer);
-                    }
-                    pos = target;
-                }
-                other => return Err(WireError::BadLabelType(other)),
-            }
-        }
-
-        dec.seek(end_pos.expect("loop sets end_pos before breaking"))?;
-        Ok(Name {
-            wire: Arc::from(&buf[..len]),
-        })
+        NameView::parse(dec).map(|v| v.to_name())
     }
 
     /// Convert to the analysis-level [`DomainName`] (fails for the root name
@@ -224,6 +168,26 @@ impl Name {
     pub fn to_domain_name(&self) -> Option<DomainName> {
         DomainName::from_ascii_labels(self.labels()).ok()
     }
+}
+
+/// Encode the length-prefixed `labels` of a name (no terminal zero) into
+/// `enc`, compressing against (and registering with) the suffixes the
+/// encoder has already written.
+pub(crate) fn encode_labels(labels: &[u8], enc: &mut Encoder) {
+    // Walk suffixes from the full name down; at the first suffix already
+    // written, emit a pointer and stop.
+    let mut at = 0;
+    while at < labels.len() {
+        if let Some(off) = enc.lookup_suffix(&labels[at..]) {
+            enc.put_u16(0xC000 | off);
+            return;
+        }
+        enc.remember_suffix(enc.position());
+        let end = at + 1 + labels[at] as usize;
+        enc.put_slice(&labels[at..end]);
+        at = end;
+    }
+    enc.put_u8(0);
 }
 
 /// Iterator over the labels of a name's buffer.
@@ -237,6 +201,20 @@ impl<'a> Iterator for Labels<'a> {
         let (label, rest) = rest.split_at(len as usize);
         self.0 = rest;
         Some(label)
+    }
+}
+
+impl PartialEq for Name {
+    fn eq(&self, other: &Self) -> bool {
+        self.bytes() == other.bytes()
+    }
+}
+
+impl Eq for Name {}
+
+impl Hash for Name {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.bytes().hash(state);
     }
 }
 
@@ -277,6 +255,180 @@ impl fmt::Display for Name {
             f.write_str(".")?;
         }
         Ok(())
+    }
+}
+
+/// A name inside a message, validated where it lies and not copied: the
+/// message bytes and the offset of the name's first label or pointer.
+///
+/// [`NameView::parse`] is the one name decoder; [`Name::decode`] is that
+/// parse followed by [`NameView::to_name`]. A view compares to names and
+/// to other views label by label, ignoring ASCII case, as [`Name`]
+/// equality does after decoding lowercases.
+#[derive(Clone, Copy)]
+pub struct NameView<'a> {
+    msg: &'a [u8],
+    at: usize,
+}
+
+impl<'a> NameView<'a> {
+    /// Validate the (possibly compressed) name at the decoder's cursor and
+    /// move the cursor just past its in-place encoding. Pointers must
+    /// point strictly backwards, at most 64 of them; the name, terminal
+    /// zero included, must fit in 255 octets.
+    pub fn parse(dec: &mut Decoder<'a>) -> Result<Self, WireError> {
+        let msg = dec.message();
+        let at = dec.position();
+        let mut pos = at;
+        let mut len = 0usize;
+        let mut hops = 0usize;
+        let mut end_pos = None;
+
+        loop {
+            if pos >= msg.len() {
+                return Err(WireError::Truncated);
+            }
+            let label_len = msg[pos];
+            match label_len & 0xC0 {
+                0x00 => {
+                    pos += 1;
+                    if label_len == 0 {
+                        if end_pos.is_none() {
+                            end_pos = Some(pos);
+                        }
+                        break;
+                    }
+                    let n = label_len as usize;
+                    if pos + n > msg.len() {
+                        return Err(WireError::Truncated);
+                    }
+                    // The labels so far, this one, and the terminal zero.
+                    if len + 1 + n + 1 > MAX_WIRE_LEN {
+                        return Err(WireError::NameTooLong);
+                    }
+                    len += 1 + n;
+                    pos += n;
+                }
+                0xC0 => {
+                    if pos + 1 >= msg.len() {
+                        return Err(WireError::Truncated);
+                    }
+                    let target = (((label_len & 0x3F) as usize) << 8) | msg[pos + 1] as usize;
+                    if end_pos.is_none() {
+                        end_pos = Some(pos + 2);
+                    }
+                    // Pointers must point strictly backwards to prevent loops.
+                    if target >= pos {
+                        return Err(WireError::BadPointer);
+                    }
+                    hops += 1;
+                    if hops > MAX_POINTER_HOPS {
+                        return Err(WireError::BadPointer);
+                    }
+                    pos = target;
+                }
+                other => return Err(WireError::BadLabelType(other)),
+            }
+        }
+
+        dec.seek(end_pos.expect("loop sets end_pos before breaking"))?;
+        Ok(NameView { msg, at })
+    }
+
+    /// The labels as they appear on the wire (case kept), leftmost first.
+    pub fn labels(&self) -> impl Iterator<Item = &'a [u8]> {
+        ViewLabels {
+            msg: self.msg,
+            pos: self.at,
+        }
+    }
+
+    /// Copy the lowercase, length-prefixed labels into `buf`; returns how
+    /// many bytes they take (at most 254, as `parse` checked).
+    fn copy_labels(&self, buf: &mut [u8; MAX_WIRE_LEN]) -> usize {
+        let mut len = 0;
+        for l in self.labels() {
+            buf[len] = l.len() as u8;
+            let dst = &mut buf[len + 1..len + 1 + l.len()];
+            dst.copy_from_slice(l);
+            dst.make_ascii_lowercase();
+            len += 1 + l.len();
+        }
+        len
+    }
+
+    /// The name as an owned [`Name`] (lowercased).
+    pub fn to_name(&self) -> Name {
+        let mut buf = [0u8; MAX_WIRE_LEN];
+        let len = self.copy_labels(&mut buf);
+        Name::new(&buf[..len])
+    }
+
+    /// Encode the name into `enc` exactly as [`Name::encode`] encodes the
+    /// decoded name: lowercased and compressed.
+    pub fn encode(&self, enc: &mut Encoder) {
+        let mut buf = [0u8; MAX_WIRE_LEN];
+        let len = self.copy_labels(&mut buf);
+        encode_labels(&buf[..len], enc);
+    }
+}
+
+/// Iterator over a [`NameView`]'s labels, following its (validated)
+/// pointers.
+struct ViewLabels<'a> {
+    msg: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Iterator for ViewLabels<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        loop {
+            let len = self.msg[self.pos];
+            if len & 0xC0 == 0xC0 {
+                self.pos = (((len & 0x3F) as usize) << 8) | self.msg[self.pos + 1] as usize;
+                continue;
+            }
+            if len == 0 {
+                return None;
+            }
+            let start = self.pos + 1;
+            self.pos = start + len as usize;
+            return Some(&self.msg[start..self.pos]);
+        }
+    }
+}
+
+/// Label-wise equality ignoring ASCII case.
+fn labels_eq<'a, 'b>(
+    mut a: impl Iterator<Item = &'a [u8]>,
+    mut b: impl Iterator<Item = &'b [u8]>,
+) -> bool {
+    loop {
+        match (a.next(), b.next()) {
+            (None, None) => return true,
+            (Some(x), Some(y)) if x.eq_ignore_ascii_case(y) => {}
+            _ => return false,
+        }
+    }
+}
+
+impl PartialEq<Name> for NameView<'_> {
+    fn eq(&self, other: &Name) -> bool {
+        labels_eq(self.labels(), other.labels())
+    }
+}
+
+impl PartialEq for NameView<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        labels_eq(self.labels(), other.labels())
+    }
+}
+
+impl fmt::Debug for NameView<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "NameView({})", self.to_name())
     }
 }
 

@@ -1,6 +1,6 @@
 //! Resource records and RDATA.
 
-use crate::name::Name;
+use crate::name::{Name, NameView};
 use crate::wire::{Decoder, Encoder, WireError};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -195,6 +195,38 @@ impl RData {
     /// Decode RDATA of type `rtype` occupying exactly `rdlen` bytes at the
     /// decoder's cursor.
     pub fn decode(dec: &mut Decoder<'_>, rtype: RType, rdlen: usize) -> Result<Self, WireError> {
+        RDataView::parse(dec, rtype, rdlen).map(|v| v.to_rdata())
+    }
+}
+
+/// RDATA validated inside a message and not copied: names stay
+/// [`NameView`]s and byte strings stay slices of the message.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum RDataView<'a> {
+    /// IPv4 address.
+    A(Ipv4Addr),
+    /// IPv6 address.
+    Aaaa(Ipv6Addr),
+    /// Name-server target.
+    Ns(NameView<'a>),
+    /// Alias target.
+    Cname(NameView<'a>),
+    /// Start of authority: the two names, then serial, refresh, retry,
+    /// expire and minimum.
+    Soa(NameView<'a>, NameView<'a>, [u32; 5]),
+    /// Mail exchanger: preference + target.
+    Mx(u16, NameView<'a>),
+    /// Text strings: the RDATA as length-prefixed character strings.
+    Txt(&'a [u8]),
+    /// Delegation signer: key tag, algorithm, digest type, digest.
+    Ds(u16, u8, u8, &'a [u8]),
+}
+
+impl<'a> RDataView<'a> {
+    /// Validate RDATA of type `rtype` occupying exactly `rdlen` bytes at
+    /// the decoder's cursor, moving the cursor past it. This is the one
+    /// RDATA decoder; [`RData::decode`] materialises its result.
+    pub fn parse(dec: &mut Decoder<'a>, rtype: RType, rdlen: usize) -> Result<Self, WireError> {
         let end = dec.position() + rdlen;
         if end > dec.message().len() {
             return Err(WireError::Truncated);
@@ -205,7 +237,7 @@ impl RData {
                     return Err(WireError::BadRdataLength);
                 }
                 let o = dec.get_slice(4)?;
-                RData::A(Ipv4Addr::new(o[0], o[1], o[2], o[3]))
+                RDataView::A(Ipv4Addr::new(o[0], o[1], o[2], o[3]))
             }
             RType::Aaaa => {
                 if rdlen != 16 {
@@ -214,30 +246,30 @@ impl RData {
                 let o = dec.get_slice(16)?;
                 let mut a = [0u8; 16];
                 a.copy_from_slice(o);
-                RData::Aaaa(Ipv6Addr::from(a))
+                RDataView::Aaaa(Ipv6Addr::from(a))
             }
-            RType::Ns => RData::Ns(Name::decode(dec)?),
-            RType::Cname => RData::Cname(Name::decode(dec)?),
-            RType::Soa => RData::Soa(SoaData {
-                mname: Name::decode(dec)?,
-                rname: Name::decode(dec)?,
-                serial: dec.get_u32()?,
-                refresh: dec.get_u32()?,
-                retry: dec.get_u32()?,
-                expire: dec.get_u32()?,
-                minimum: dec.get_u32()?,
-            }),
-            RType::Mx => RData::Mx(dec.get_u16()?, Name::decode(dec)?),
+            RType::Ns => RDataView::Ns(NameView::parse(dec)?),
+            RType::Cname => RDataView::Cname(NameView::parse(dec)?),
+            RType::Soa => {
+                let mname = NameView::parse(dec)?;
+                let rname = NameView::parse(dec)?;
+                let mut times = [0u32; 5];
+                for t in &mut times {
+                    *t = dec.get_u32()?;
+                }
+                RDataView::Soa(mname, rname, times)
+            }
+            RType::Mx => RDataView::Mx(dec.get_u16()?, NameView::parse(dec)?),
             RType::Txt => {
-                let mut strings = Vec::new();
+                let start = dec.position();
                 while dec.position() < end {
                     let len = dec.get_u8()? as usize;
                     if dec.position() + len > end {
                         return Err(WireError::BadRdataLength);
                     }
-                    strings.push(dec.get_slice(len)?.to_vec());
+                    dec.skip(len)?;
                 }
-                RData::Txt(strings)
+                RDataView::Txt(&dec.message()[start..dec.position()])
             }
             RType::Ds => {
                 if rdlen < 4 {
@@ -246,14 +278,92 @@ impl RData {
                 let tag = dec.get_u16()?;
                 let alg = dec.get_u8()?;
                 let dt = dec.get_u8()?;
-                let digest = dec.get_slice(rdlen - 4)?.to_vec();
-                RData::Ds(tag, alg, dt, digest)
+                RDataView::Ds(tag, alg, dt, dec.get_slice(rdlen - 4)?)
             }
         };
         if dec.position() != end {
             return Err(WireError::BadRdataLength);
         }
         Ok(data)
+    }
+
+    /// The record type of this RDATA.
+    pub const fn rtype(&self) -> RType {
+        match self {
+            RDataView::A(_) => RType::A,
+            RDataView::Aaaa(_) => RType::Aaaa,
+            RDataView::Ns(_) => RType::Ns,
+            RDataView::Cname(_) => RType::Cname,
+            RDataView::Soa(..) => RType::Soa,
+            RDataView::Mx(_, _) => RType::Mx,
+            RDataView::Txt(_) => RType::Txt,
+            RDataView::Ds(..) => RType::Ds,
+        }
+    }
+
+    /// The RDATA as an owned [`RData`].
+    pub fn to_rdata(&self) -> RData {
+        match *self {
+            RDataView::A(ip) => RData::A(ip),
+            RDataView::Aaaa(ip) => RData::Aaaa(ip),
+            RDataView::Ns(n) => RData::Ns(n.to_name()),
+            RDataView::Cname(n) => RData::Cname(n.to_name()),
+            RDataView::Soa(mname, rname, [serial, refresh, retry, expire, minimum]) => {
+                RData::Soa(SoaData {
+                    mname: mname.to_name(),
+                    rname: rname.to_name(),
+                    serial,
+                    refresh,
+                    retry,
+                    expire,
+                    minimum,
+                })
+            }
+            RDataView::Mx(pref, n) => RData::Mx(pref, n.to_name()),
+            RDataView::Txt(mut strings) => {
+                // `parse` checked that the strings tile the RDATA exactly.
+                let mut out = Vec::new();
+                while let Some((&len, rest)) = strings.split_first() {
+                    let (s, rest) = rest.split_at(len as usize);
+                    out.push(s.to_vec());
+                    strings = rest;
+                }
+                RData::Txt(out)
+            }
+            RDataView::Ds(tag, alg, dt, digest) => RData::Ds(tag, alg, dt, digest.to_vec()),
+        }
+    }
+}
+
+/// A resource record validated inside a message and not copied.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RecordView<'a> {
+    /// Owner name.
+    pub name: NameView<'a>,
+    /// Time to live, seconds.
+    pub ttl: u32,
+    /// The RDATA (class is always IN).
+    pub data: RDataView<'a>,
+}
+
+impl<'a> RecordView<'a> {
+    /// Validate one record at the decoder's cursor and move past it. This
+    /// is the one record decoder; [`Record::decode`] materialises its
+    /// result.
+    pub fn parse(dec: &mut Decoder<'a>) -> Result<Self, WireError> {
+        let name = NameView::parse(dec)?;
+        let code = dec.get_u16()?;
+        let rtype = RType::from_code(code).ok_or(WireError::UnknownType(code))?;
+        let _class = dec.get_u16()?;
+        let ttl = dec.get_u32()?;
+        let rdlen = dec.get_u16()? as usize;
+        let data = RDataView::parse(dec, rtype, rdlen)?;
+        Ok(RecordView { name, ttl, data })
+    }
+
+    /// The record as an owned [`Record`].
+    pub fn to_record(&self) -> Record {
+        Record::new(self.name.to_name(), self.ttl, self.data.to_rdata())
     }
 }
 
@@ -290,14 +400,7 @@ impl Record {
 
     /// Decode one record at the decoder's cursor.
     pub fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
-        let name = Name::decode(dec)?;
-        let code = dec.get_u16()?;
-        let rtype = RType::from_code(code).ok_or(WireError::UnknownType(code))?;
-        let _class = dec.get_u16()?;
-        let ttl = dec.get_u32()?;
-        let rdlen = dec.get_u16()? as usize;
-        let data = RData::decode(dec, rtype, rdlen)?;
-        Ok(Record { name, ttl, data })
+        RecordView::parse(dec).map(|v| v.to_record())
     }
 }
 

@@ -1,11 +1,12 @@
 //! Low-level wire encoding/decoding primitives.
 //!
-//! [`Encoder`] owns the output buffer and the name-compression table;
-//! [`Decoder`] is a bounds-checked cursor over the full message (decoding
-//! names requires random access for compression pointers, so the decoder
-//! keeps the entire message slice).
+//! [`Encoder`] owns the output buffer and the name-compression table, and
+//! can be [`clear`](Encoder::clear)ed to encode the next message into the
+//! same allocations; [`Decoder`] is a bounds-checked cursor over the full
+//! message (decoding names requires random access for compression
+//! pointers, so the decoder keeps the entire message slice).
 
-use bytes::{BufMut, BytesMut};
+use bytes::BufMut;
 use std::fmt;
 
 /// Maximum DNS message size we accept (EDNS-sized; we do not implement
@@ -58,7 +59,7 @@ impl std::error::Error for WireError {}
 
 /// Wire encoder with RFC 1035 §4.1.4 name compression.
 pub struct Encoder {
-    buf: BytesMut,
+    buf: Vec<u8>,
     /// Offsets of the name suffixes written so far, in write order. A
     /// suffix is registered only where it first occurs, and only offsets
     /// <= 0x3FFF are eligible as compression targets.
@@ -69,9 +70,16 @@ impl Encoder {
     /// New encoder with a reasonable initial capacity.
     pub fn new() -> Self {
         Encoder {
-            buf: BytesMut::with_capacity(512),
+            buf: Vec::with_capacity(512),
             names: Vec::new(),
         }
+    }
+
+    /// Forget everything written, keeping the buffers' capacity, so the
+    /// next message is encoded without allocating.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+        self.names.clear();
     }
 
     /// Current output length (also the offset of the next byte).
@@ -159,11 +167,22 @@ impl Encoder {
 
     /// Finish encoding, enforcing the size limit.
     pub fn finish(self) -> Result<Vec<u8>, WireError> {
-        let v = Vec::from(self.buf);
-        if v.len() > MAX_MESSAGE_SIZE {
-            return Err(WireError::TooBig(v.len()));
+        self.check_size()?;
+        Ok(self.buf)
+    }
+
+    /// The finished message, left in the encoder for reuse; enforces the
+    /// size limit like [`finish`](Encoder::finish).
+    pub fn message(&self) -> Result<&[u8], WireError> {
+        self.check_size()?;
+        Ok(&self.buf)
+    }
+
+    fn check_size(&self) -> Result<(), WireError> {
+        match self.buf.len() {
+            n if n > MAX_MESSAGE_SIZE => Err(WireError::TooBig(n)),
+            _ => Ok(()),
         }
-        Ok(v)
     }
 }
 

@@ -7,25 +7,26 @@
 
 use crate::name::Name;
 use crate::rdata::{RData, RType, Record, SoaData};
+use ruwhere_types::FnvMap;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
 
-/// Outcome of a zone lookup, before message assembly.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Lookup {
+/// Outcome of a zone lookup, before message assembly. The records are
+/// borrowed from the zone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Lookup<'z> {
     /// Records answering the question directly (owner and type match).
-    Answer(Vec<Record>),
+    Answer(RRset<'z>),
     /// The name is an alias; contains the CNAME record. The caller decides
     /// whether to chase it.
-    Cname(Record),
+    Cname(&'z Record),
     /// The question falls below a zone cut: referral with the cut's NS
     /// records and any in-zone glue.
     Delegation {
         /// NS records at the zone cut.
-        ns: Vec<Record>,
+        ns: RRset<'z>,
         /// A/AAAA glue for in-bailiwick name servers.
-        glue: Vec<Record>,
+        glue: Glue<'z>,
     },
     /// The owner exists but has no records of the queried type.
     NoData,
@@ -35,15 +36,76 @@ pub enum Lookup {
     OutOfZone,
 }
 
+/// The records of one type at one owner, borrowed from a zone, in zone
+/// order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RRset<'z> {
+    /// Every record at the owner.
+    records: &'z [Record],
+    rtype: RType,
+}
+
+impl<'z> RRset<'z> {
+    /// The `rtype` records among `records`.
+    pub fn new(records: &'z [Record], rtype: RType) -> Self {
+        RRset { records, rtype }
+    }
+
+    /// The records, in zone order.
+    pub fn iter(&self) -> impl Iterator<Item = &'z Record> {
+        let rtype = self.rtype;
+        self.records.iter().filter(move |r| r.data.rtype() == rtype)
+    }
+
+    /// Number of records.
+    pub fn len(&self) -> usize {
+        self.iter().count()
+    }
+
+    /// Whether there are none.
+    pub fn is_empty(&self) -> bool {
+        self.iter().next().is_none()
+    }
+}
+
+/// The A/AAAA glue a zone holds for the targets of an NS RRset, borrowed
+/// from the zone: for each NS record in order, the target's address
+/// records in zone order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Glue<'z> {
+    zone: &'z Zone,
+    ns: RRset<'z>,
+}
+
+impl<'z> Glue<'z> {
+    /// The glue records.
+    pub fn iter(&self) -> impl Iterator<Item = &'z Record> {
+        let zone = self.zone;
+        self.ns
+            .iter()
+            .filter_map(move |r| match &r.data {
+                // A target outside the zone owns no records in it: skip
+                // the map probe.
+                RData::Ns(target) if target.is_subdomain_of(&zone.origin) => {
+                    zone.records.get(target)
+                }
+                _ => None,
+            })
+            .flatten()
+            .filter(|g| matches!(g.data.rtype(), RType::A | RType::Aaaa))
+    }
+}
+
 /// An authoritative zone: an origin, a SOA, and records indexed by owner.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Zone {
     origin: Name,
-    soa: SoaData,
-    soa_ttl: u32,
-    /// Owner → records at that owner. BTreeMap keeps snapshots canonical so
-    /// that serialized zones are diffable and runs are reproducible.
-    records: BTreeMap<Name, Vec<Record>>,
+    /// The SOA record at the apex.
+    soa: Record,
+    /// Owner → records at that owner, hashed: every query looks owners
+    /// up. The ordered walks ([`Zone::iter`], [`Zone::delegations`]) sort
+    /// the owners, so snapshots stay canonical, diffable and reproducible.
+    records: FnvMap<Name, Vec<Record>>,
 }
 
 /// Error from parsing the textual zone format.
@@ -67,10 +129,9 @@ impl Zone {
     /// Create an empty zone.
     pub fn new(origin: Name, soa: SoaData, soa_ttl: u32) -> Self {
         Zone {
+            soa: Record::new(origin.clone(), soa_ttl, RData::Soa(soa)),
             origin,
-            soa,
-            soa_ttl,
-            records: BTreeMap::new(),
+            records: FnvMap::default(),
         }
     }
 
@@ -81,21 +142,22 @@ impl Zone {
 
     /// The SOA data.
     pub fn soa(&self) -> &SoaData {
-        &self.soa
+        match &self.soa.data {
+            RData::Soa(soa) => soa,
+            _ => unreachable!("Zone::new stores a SOA record"),
+        }
     }
 
     /// The SOA as a full record at the apex.
-    pub fn soa_record(&self) -> Record {
-        Record::new(
-            self.origin.clone(),
-            self.soa_ttl,
-            RData::Soa(self.soa.clone()),
-        )
+    pub fn soa_record(&self) -> &Record {
+        &self.soa
     }
 
     /// Mutable access to the serial, bumped by the registry on each snapshot.
     pub fn set_serial(&mut self, serial: u32) {
-        self.soa.serial = serial;
+        if let RData::Soa(soa) = &mut self.soa.data {
+            soa.serial = serial;
+        }
     }
 
     /// Add a record. Returns `false` (and does not add) if the owner is
@@ -138,17 +200,26 @@ impl Zone {
 
     /// Iterate all records in canonical owner order.
     pub fn iter(&self) -> impl Iterator<Item = &Record> {
-        self.records.values().flatten()
+        self.by_owner().into_iter().flat_map(|(_, recs)| recs)
     }
 
     /// Owners that have NS records strictly below the apex — i.e. the
     /// delegations. For a TLD zone this is the list of registered domains,
     /// which is exactly what seeds the daily OpenINTEL sweep.
     pub fn delegations(&self) -> impl Iterator<Item = &Name> {
-        self.records.iter().filter_map(move |(owner, recs)| {
-            (owner != &self.origin && recs.iter().any(|r| r.data.rtype() == RType::Ns))
-                .then_some(owner)
-        })
+        self.by_owner()
+            .into_iter()
+            .filter_map(move |(owner, recs)| {
+                (owner != &self.origin && recs.iter().any(|r| r.data.rtype() == RType::Ns))
+                    .then_some(owner)
+            })
+    }
+
+    /// The owners and their records, in canonical (label-wise) order.
+    fn by_owner(&self) -> Vec<(&Name, &Vec<Record>)> {
+        let mut owners: Vec<_> = self.records.iter().collect();
+        owners.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        owners
     }
 
     /// NS records at a specific owner.
@@ -161,45 +232,40 @@ impl Zone {
 
     /// Authoritative lookup implementing RFC 1034 §4.3.2 zone semantics
     /// (without wildcards or DNSSEC).
-    pub fn lookup(&self, qname: &Name, qtype: RType) -> Lookup {
+    pub fn lookup(&self, qname: &Name, qtype: RType) -> Lookup<'_> {
         if !qname.is_subdomain_of(&self.origin) {
             return Lookup::OutOfZone;
         }
 
         // Check for a zone cut between the origin (exclusive) and qname
-        // (inclusive): walk enclosing names from just under the apex down,
-        // so the highest (closest-to-apex) delegation wins.
-        let qlabels: Vec<&[u8]> = qname.labels().collect();
-        let depth = qlabels.len() - self.origin.label_count();
-        for take in 1..=depth {
-            let cut = Name::from_labels(
-                qlabels[qlabels.len() - self.origin.label_count() - take..]
-                    .iter()
-                    .copied(),
-            )
-            .expect("sub-slice of a valid name");
-            if let Some(recs) = self.records.get(&cut) {
-                let ns: Vec<Record> = recs
-                    .iter()
-                    .filter(|r| r.data.rtype() == RType::Ns)
-                    .cloned()
-                    .collect();
-                if !ns.is_empty() && cut != self.origin {
-                    // Below a delegation — unless the query is *for* the cut
-                    // itself with type DS (parent-side type), or the query
-                    // is exactly the cut with type NS (we can answer as the
-                    // delegating parent: referral is still the norm).
-                    let parent_side = cut == *qname && qtype == RType::Ds;
-                    if !parent_side {
-                        let glue = self.glue_for(&ns);
-                        return Lookup::Delegation { ns, glue };
-                    }
+        // (inclusive). The highest (closest-to-apex) delegation wins, so
+        // walk up from qname and keep the last cut found.
+        let mut cut = None;
+        let mut owner = qname.clone();
+        while owner.wire_len() > self.origin.wire_len() {
+            if let Some(recs) = self.records.get(&owner) {
+                let ns = RRset::new(recs, RType::Ns);
+                // Below a delegation, unless the query is *for* the cut
+                // itself with type DS (a parent-side type). An NS query for
+                // the cut still refers: that is the norm for a parent.
+                let parent_side = qtype == RType::Ds && owner.wire_len() == qname.wire_len();
+                if !parent_side && !ns.is_empty() {
+                    cut = Some(ns);
                 }
             }
+            owner = owner
+                .parent()
+                .expect("a name below the origin has a parent");
+        }
+        if let Some(ns) = cut {
+            return Lookup::Delegation {
+                ns,
+                glue: Glue { zone: self, ns },
+            };
         }
 
         if qname == &self.origin && qtype == RType::Soa {
-            return Lookup::Answer(vec![self.soa_record()]);
+            return Lookup::Answer(RRset::new(std::slice::from_ref(&self.soa), RType::Soa));
         }
         match self.records.get(qname) {
             // The apex always exists (it carries the SOA), so a miss there
@@ -207,44 +273,23 @@ impl Zone {
             None if qname == &self.origin => Lookup::NoData,
             None => Lookup::NxDomain,
             Some(recs) => {
-                let matching: Vec<Record> = recs
-                    .iter()
-                    .filter(|r| r.data.rtype() == qtype)
-                    .cloned()
-                    .collect();
+                let matching = RRset::new(recs, qtype);
                 if !matching.is_empty() {
                     return Lookup::Answer(matching);
                 }
                 if let Some(cname) = recs.iter().find(|r| r.data.rtype() == RType::Cname) {
-                    return Lookup::Cname(cname.clone());
+                    return Lookup::Cname(cname);
                 }
                 Lookup::NoData
             }
         }
     }
 
-    /// Collect A/AAAA glue present in this zone for the given NS targets.
-    pub fn glue_for(&self, ns: &[Record]) -> Vec<Record> {
-        let mut glue = Vec::new();
-        for r in ns {
-            if let RData::Ns(target) = &r.data {
-                if let Some(recs) = self.records.get(target) {
-                    glue.extend(
-                        recs.iter()
-                            .filter(|g| matches!(g.data.rtype(), RType::A | RType::Aaaa))
-                            .cloned(),
-                    );
-                }
-            }
-        }
-        glue
-    }
-
     /// Serialize to the textual zone format.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!("$ORIGIN {}\n", self.origin));
-        out.push_str(&format!("{}\n", self.soa_record()));
+        out.push_str(&format!("{}\n", self.soa));
         for r in self.iter() {
             out.push_str(&format!("{r}\n"));
         }
@@ -480,6 +525,7 @@ mod tests {
         match z.lookup(&name("www.example.ru"), RType::A) {
             Lookup::Delegation { ns, glue } => {
                 assert_eq!(ns.len(), 2);
+                let glue: Vec<&Record> = glue.iter().collect();
                 assert_eq!(glue.len(), 1);
                 assert_eq!(glue[0].name, name("ns1.example.ru"));
             }
@@ -503,6 +549,31 @@ mod tests {
         match z.lookup(&name("example.ru"), RType::Ds) {
             Lookup::Answer(recs) => assert_eq!(recs.len(), 1),
             other => panic!("expected DS answer, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn highest_cut_wins_over_occluded_ones() {
+        // NS records below a cut are occluded: the walk up from the query
+        // name must return the cut closest to the apex.
+        let mut z = tld_zone();
+        z.add(Record::new(
+            name("sub.example.ru"),
+            3600,
+            RData::Ns(name("ns.sub.example.ru")),
+        ));
+        for (qname, qtype) in [
+            ("www.sub.example.ru", RType::A),
+            ("sub.example.ru", RType::Ns),
+            ("sub.example.ru", RType::Ds),
+        ] {
+            match z.lookup(&name(qname), qtype) {
+                Lookup::Delegation { ns, .. } => {
+                    let owners: Vec<&Name> = ns.iter().map(|r| &r.name).collect();
+                    assert_eq!(owners, [&name("example.ru"); 2], "{qname} {qtype}");
+                }
+                other => panic!("{qname} {qtype}: expected delegation, got {other:?}"),
+            }
         }
     }
 

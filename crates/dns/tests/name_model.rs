@@ -129,6 +129,98 @@ proptest! {
     }
 }
 
+/// `name` with `k` labels dropped from the left by `parent()`, so that it
+/// starts at an offset inside the buffer of `name`.
+fn nth_parent(name: &Name, k: usize) -> Name {
+    let mut n = name.clone();
+    for _ in 0..k {
+        n = n.parent().expect("fewer than label_count parents");
+    }
+    n
+}
+
+/// Encoded bytes of `n` alone, with compression.
+fn encoded(n: &Name) -> Vec<u8> {
+    let mut e = ruwhere_dns::wire::Encoder::new();
+    n.encode(&mut e);
+    e.finish().unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn offset_names_agree_with_the_label_model(
+        pair in arb_pair(),
+        ka in any::<prop::sample::Index>(),
+        kb in any::<prop::sample::Index>(),
+    ) {
+        // Suffixes reached through parent() share their child's buffer and
+        // start at an offset in it; they must behave exactly like names
+        // built on their own.
+        let (la, lb) = pair;
+        let (ka, kb) = (ka.index(la.len() + 1), kb.index(lb.len() + 1));
+        let (a, b) = (nth_parent(&decoded(&la), ka), nth_parent(&decoded(&lb), kb));
+        let (fresh_a, fresh_b) = (decoded(&la[ka..]), decoded(&lb[kb..]));
+        let (ma, mb) = (model_of(&la[ka..]), model_of(&lb[kb..]));
+
+        prop_assert_eq!(a.labels().map(<[u8]>::to_vec).collect::<Model>(), ma.clone());
+        prop_assert_eq!(&a, &fresh_a);
+        prop_assert_eq!(hash_of(&a), hash_of(&fresh_a));
+        prop_assert_eq!(a == b, ma == mb);
+        prop_assert_eq!(a == fresh_b, ma == mb);
+        if a == b {
+            prop_assert_eq!(hash_of(&a), hash_of(&b));
+        }
+        prop_assert_eq!(a.cmp(&b), ma.cmp(&mb));
+        prop_assert_eq!(a.cmp(&fresh_b), ma.cmp(&mb));
+        prop_assert_eq!(fresh_a.cmp(&b), ma.cmp(&mb));
+        let sub = ma.len() >= mb.len() && ma[ma.len() - mb.len()..] == mb[..];
+        prop_assert_eq!(a.is_subdomain_of(&b), sub);
+        prop_assert_eq!(a.is_root(), ma.is_empty());
+        prop_assert_eq!(a.label_count(), ma.len());
+        prop_assert_eq!(a.wire_len(), fresh_a.wire_len());
+        prop_assert_eq!(a.to_string(), model_display(&ma));
+        prop_assert_eq!(encoded(&a), encoded(&fresh_a));
+        prop_assert_eq!(
+            a.parent().map(|p| p.labels().map(<[u8]>::to_vec).collect::<Model>()),
+            (!ma.is_empty()).then(|| ma[1..].to_vec())
+        );
+    }
+}
+
+#[test]
+fn offset_names_key_maps_like_fresh_ones() {
+    use std::collections::{BTreeMap, HashMap};
+    let n = |s: &str| s.parse::<Name>().unwrap();
+    let deep = n("www.a.example.ru");
+    let suffixes: Vec<Name> = (0..=4).map(|k| nth_parent(&deep, k)).collect();
+    let mut hashed = HashMap::new();
+    let mut ordered = BTreeMap::new();
+    for (i, s) in suffixes.iter().enumerate() {
+        hashed.insert(s.clone(), i);
+        ordered.insert(s.clone(), i);
+    }
+    for (i, s) in ["www.a.example.ru", "a.example.ru", "example.ru", "ru", "."]
+        .into_iter()
+        .enumerate()
+    {
+        assert_eq!(hashed.get(&n(s)), Some(&i), "{s}");
+        assert_eq!(ordered.get(&n(s)), Some(&i), "{s}");
+    }
+    let keys: Vec<String> = ordered.keys().map(Name::to_string).collect();
+    assert_eq!(
+        keys,
+        [
+            ".",
+            "a.example.ru.",
+            "example.ru.",
+            "ru.",
+            "www.a.example.ru."
+        ]
+    );
+}
+
 #[test]
 fn order_is_label_wise_not_bytewise() {
     let n = |s: &str| s.parse::<Name>().unwrap();

@@ -527,12 +527,14 @@ impl Network {
     /// sequence — so a lane's traffic is a pure function of (network
     /// snapshot, key, start instant), independent of any other lane and of
     /// which thread drives it. This is the determinism foundation of the
-    /// parallel sweep engine.
-    pub fn lane(&self, key: &str) -> Lane<'_> {
+    /// parallel sweep engine. The key is hashed as it is written, so
+    /// `lane(format_args!("{day}/{domain}"))` opens the same lane as
+    /// `lane(&format!("{day}/{domain}"))` without building the string.
+    pub fn lane(&self, key: impl fmt::Display) -> Lane<'_> {
         let start = self.now;
         Lane {
             net: self,
-            stream: self.seed.child("lane").child(key),
+            stream: self.seed.child("lane").child_display(key),
             start,
             now: start,
             seq: 0,

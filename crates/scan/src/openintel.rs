@@ -361,7 +361,7 @@ fn resolve_with_retry<T: ruwhere_netsim::Transport>(
 /// with a fresh primed fork — a pure function of the sweep-start snapshot,
 /// so the cached value is identical no matter which worker computes it.
 fn resolve_ns_target(ctx: &SweepCtx<'_>, ns: &DomainName) -> (Vec<Ipv4Addr>, LookupCost) {
-    let mut lane = ctx.net.lane(&format!("ns:{}/{}", ctx.date, ns));
+    let mut lane = ctx.net.lane(format_args!("ns:{}/{}", ctx.date, ns));
     let mut resolver = ctx.primed.fork();
     let ips = match resolve_with_retry(
         &mut resolver,
@@ -403,7 +403,7 @@ fn measure_domain(
     if let Some(inject) = ctx.panic_inject {
         inject.maybe_panic(domain);
     }
-    let mut lane = ctx.net.lane(&format!("{}/{}", ctx.date, domain));
+    let mut lane = ctx.net.lane(format_args!("{}/{}", ctx.date, domain));
     let mut resolver = ctx.primed.fork();
     if ctx.collect {
         // Thread the worker's accumulators through this domain's lane and
@@ -659,7 +659,7 @@ impl OpenIntelScanner {
         let mut total_metrics = SweepMetrics::default();
         {
             let net = world.network();
-            let mut lane = net.lane(&format!("{date}/warmup"));
+            let mut lane = net.lane(format_args!("{date}/warmup"));
             let mut tlds: Vec<&str> = seeds.iter().map(|d| d.tld()).collect();
             tlds.sort_unstable();
             tlds.dedup();
@@ -695,6 +695,9 @@ impl OpenIntelScanner {
                 total_metrics.resolver.merge(&primed.take_obs());
             }
         }
+        // Every per-domain fork then shares this one snapshot of what the
+        // warmup learned instead of copying it.
+        let primed = primed.fork();
 
         // Fan out: contiguous shards, one scoped worker each, merged back
         // in shard order (= zone-snapshot order). Each worker carries its

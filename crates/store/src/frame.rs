@@ -14,7 +14,7 @@
 //!   analysis costs a few flat buffers.
 //! - **Symbol-level analysis**: every per-record hook sees `u32` symbols,
 //!   so the eight study analyses compare integers and index dense arrays
-//!   where they used to hash owned [`DomainName`]s.
+//!   where they used to hash owned [`DomainName`](ruwhere_types::DomainName)s.
 //!
 //! Frames are byte-identical for any worker count — the columns are
 //! written by a single post-merge pass in zone-snapshot order, and symbol

@@ -6,7 +6,7 @@
 //! natively and materialises rows on demand
 //! ([`SweepFrame::to_daily_sweep`](crate::SweepFrame::to_daily_sweep)).
 //! Both carry the same [`SweepStats`] counters and
-//! [`SweepMetrics`](crate::SweepMetrics) section under the same contract:
+//! [`SweepMetrics`] section under the same contract:
 //! byte-identical for any worker count.
 
 use crate::metrics::SweepMetrics;

@@ -37,4 +37,4 @@ pub use country::Country;
 pub use date::{Date, DateRange, STUDY_END, STUDY_START};
 pub use domain::{DomainName, DomainParseError};
 pub use period::{Period, CERT_WINDOW_END, CERT_WINDOW_START, CONFLICT_START, SANCTIONS_EFFECT};
-pub use seed::SeedTree;
+pub use seed::{Fnv1a, FnvMap, SeedTree};

@@ -7,6 +7,9 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::HashMap;
+use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// FNV-1a 64-bit offset basis.
 const FNV_OFFSET: u64 = 0xcbf29ce484222325;
@@ -14,12 +17,57 @@ const FNV_OFFSET: u64 = 0xcbf29ce484222325;
 const FNV_PRIME: u64 = 0x100000001b3;
 
 fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET ^ seed.wrapping_mul(FNV_PRIME);
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
+    let mut h = Fnv1a::new(seed);
+    h.update(bytes);
+    h.0
+}
+
+/// FNV-1a over bytes fed in pieces: the same hash as one call over their
+/// concatenation.
+///
+/// It is also the [`Hasher`] of [`FnvMap`], for maps keyed by the
+/// simulation's own data (names, addresses): such keys are short and
+/// nobody chooses them to collide, so SipHash's keyed defence buys
+/// nothing and would cost most of a lookup.
+pub struct Fnv1a(u64);
+
+/// A `HashMap` hashed with [`Fnv1a`].
+pub type FnvMap<K, V> = HashMap<K, V, BuildHasherDefault<Fnv1a>>;
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a::new(0)
     }
-    h
+}
+
+impl Hasher for Fnv1a {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        self.update(bytes);
+    }
+}
+
+impl Fnv1a {
+    fn new(seed: u64) -> Self {
+        Fnv1a(FNV_OFFSET ^ seed.wrapping_mul(FNV_PRIME))
+    }
+
+    fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(FNV_PRIME);
+        }
+    }
+}
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// splitmix64 finalizer: decorrelates FNV output into a well-mixed seed.
@@ -65,6 +113,18 @@ impl SeedTree {
         }
     }
 
+    /// Derive a named child node from a label's `Display` form, hashed as
+    /// it is written: the same node as `child(&label.to_string())`,
+    /// without building the string.
+    pub fn child_display(&self, label: impl fmt::Display) -> SeedTree {
+        let mut h = Fnv1a::new(self.state);
+        fmt::Write::write_fmt(&mut h, format_args!("{label}"))
+            .expect("hashing never fails to write");
+        SeedTree {
+            state: splitmix64(h.0),
+        }
+    }
+
     /// Derive an indexed child node (e.g. per-domain, per-day).
     pub fn child_idx(&self, index: u64) -> SeedTree {
         SeedTree {
@@ -104,6 +164,17 @@ mod tests {
         assert_eq!(p1.seed(), p2.seed());
         // Different path order gives a different node.
         assert_ne!(root.child("y").child("x").seed(), p1.seed());
+    }
+
+    #[test]
+    fn display_label_equals_its_string() {
+        let root = SeedTree::new(7);
+        let (day, domain) = ("2022-03-03", "пример.рф");
+        assert_eq!(
+            root.child_display(format_args!("{day}/{domain}")).seed(),
+            root.child(&format!("{day}/{domain}")).seed()
+        );
+        assert_eq!(root.child_display("").seed(), root.child("").seed());
     }
 
     #[test]

@@ -2315,6 +2315,7 @@ mod tests {
             let zone = zs.get(&Name::from(&name)).expect("zone present");
             match zone.lookup(&Name::from(&name), ruwhere_dns::RType::A) {
                 ruwhere_dns::zone::Lookup::Answer(recs) => {
+                    let recs: Vec<_> = recs.iter().collect();
                     assert_eq!(recs.len(), 1);
                     assert_eq!(recs[0].data, RData::A(state.hosting.primary_ip));
                 }
