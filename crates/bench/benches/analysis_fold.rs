@@ -1,11 +1,9 @@
-//! The analysis-fold ablation behind the columnar-store refactor: one
-//! single-pass [`AnalysisEngine`] walk feeding all eight study series vs
-//! the pre-engine shape where each series independently folds the
-//! row-form sweep (eight full walks over the same records).
+//! The analysis fold: one single-pass [`AnalysisEngine`] walk over the
+//! fixture's final sweep frame, feeding all eight study series.
 //!
-//! Both sides build their series fresh inside the timed closure, so the
-//! comparison isolates the fold itself: one walk with eight hook
-//! dispatches per record vs eight walks with one classification each.
+//! The series are built fresh inside the timed closure, so the number
+//! covers the fold itself: one walk with eight hook dispatches per
+//! record.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ruwhere_bench::fixture;
@@ -19,7 +17,6 @@ use std::hint::black_box;
 fn bench_analysis_fold(c: &mut Criterion) {
     let r = fixture();
     let frame = r.final_sweep().expect("fixture retains its final sweep");
-    let daily = frame.to_daily_sweep(&r.interner);
     let series = || {
         (
             CompositionSeries::new(InfraKind::NameServers),
@@ -46,21 +43,6 @@ fn bench_analysis_fold(c: &mut Criterion) {
                 ],
             );
             black_box(engine.record_visits())
-        })
-    });
-    g.bench_function("eight_pass_row_fold", |b| {
-        b.iter(|| {
-            let (mut c1, mut c2, mut c3, mut td, mut tu, mut asn, mut ds, mut tf) = series();
-            let sweep = black_box(&daily);
-            c1.observe(sweep);
-            c2.observe(sweep);
-            c3.observe(sweep);
-            td.observe(sweep);
-            tu.observe(sweep);
-            asn.observe(sweep);
-            ds.observe(sweep);
-            tf.observe(sweep);
-            black_box(8 * sweep.domains.len())
         })
     });
     g.finish();

@@ -181,7 +181,7 @@ fn bench_sweep(c: &mut Criterion) {
     let mut g = c.benchmark_group("sweep");
     g.sample_size(10);
     g.bench_function("openintel_daily_sweep_tiny", |b| {
-        b.iter(|| black_box(scanner.sweep(&mut world)))
+        b.iter(|| black_box(scanner.sweep_frame(&mut world)))
     });
     g.finish();
 }

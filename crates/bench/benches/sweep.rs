@@ -24,7 +24,7 @@ fn bench_sweep_workers(c: &mut Criterion) {
                             .workers(workers)
                             .collect_metrics(collect),
                     );
-                    black_box(scanner.sweep(&mut world))
+                    black_box(scanner.sweep_frame(&mut world))
                 })
             });
         }

@@ -27,14 +27,14 @@ fn sweep_once(collect: bool) -> Duration {
         SweepOptions::new().workers(1).collect_metrics(collect),
     );
     let t = Instant::now();
-    black_box(scanner.sweep(&mut world));
+    black_box(scanner.sweep_frame(&mut world));
     t.elapsed()
 }
 
 fn counts() {
     let mut world = World::new(WorldConfig::tiny());
     let mut scanner = OpenIntelScanner::with_options(&world, SweepOptions::new().workers(1));
-    let sweep = scanner.sweep(&mut world);
+    let sweep = scanner.sweep_frame(&mut world);
     let m = &sweep.metrics;
     println!(
         "events/sweep: delay {} request {} srtt {} links {} cause-keys {} domains {}",
@@ -43,7 +43,7 @@ fn counts() {
         m.resolver.srtt_us.count(),
         m.net.links.len(),
         m.causes.histograms().count() + m.causes.counters().count(),
-        sweep.domains.len()
+        sweep.len()
     );
 }
 

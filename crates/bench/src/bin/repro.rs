@@ -17,13 +17,14 @@
 //! * `--bench-sweep FILE`  instead of the full study, measure sweep
 //!   throughput at 1/2/4/8 workers on the pinned CI fixture
 //!   (`RUWHERE_BENCH_DAYS` days per count) and write `FILE`
-//!   (`BENCH_sweep.json`: wall time, queries/sec, NS-cache hit rate).
-//!   Also measures the analysis phase — the single-pass engine walk vs
-//!   the legacy eight-pass per-series fold — and embeds the visit counts
-//!   and wall times as the artifact's `analysis` line.
-//! * `--check-baseline FILE`  after `--bench-sweep`, gate the measured
-//!   throughput against the committed baseline `FILE`: exit 1 if any
-//!   worker count regresses more than 15% in queries/sec.
+//!   (`BENCH_sweep.json`: wall time, queries, queries/sec, NS-cache hit
+//!   rate). Also measures the analysis phase — the single-pass engine
+//!   walk — and embeds its visit counts and wall time as the artifact's
+//!   `analysis` line.
+//! * `--check-baseline FILE`  after `--bench-sweep`, gate the rows against
+//!   the committed baseline `FILE`: exit 1 if any worker count's query
+//!   count differs from the baseline's or its queries/sec regresses more
+//!   than 15%.
 //! * `--metrics FILE`  sweep the pinned fixture once with metric
 //!   collection on (`RUWHERE_WORKERS` honored) and write the run-level
 //!   observability export (`METRICS_sweep.json`: per-cause latency
@@ -190,18 +191,11 @@ fn run_bench_sweep(out: &std::path::Path, baseline: Option<&std::path::Path>) {
         eprintln!("  speedup 1→8 workers: {s:.2}×");
     }
     let workers = ruwhere_scan::available_workers();
-    eprintln!("bench: analysis fold ({workers} workers, single-pass vs eight-pass)…");
+    eprintln!("bench: analysis fold ({workers} workers, single-pass engine)…");
     let analysis = ruwhere_bench::bench_analysis(workers);
     eprintln!(
         "  single-pass engine: {} record visits ({} dispatches) in {:.3}s",
         analysis.single_pass_visits, analysis.observer_dispatches, analysis.single_pass_seconds
-    );
-    eprintln!(
-        "  eight-pass baseline: {} record visits in {:.3}s — {:.1}× more visits, {:.2}× slower",
-        analysis.eight_pass_visits,
-        analysis.eight_pass_seconds,
-        analysis.visit_ratio(),
-        analysis.wall_speedup()
     );
 
     let json = ruwhere_bench::render_bench_json(&rows, Some(&analysis));
@@ -213,7 +207,7 @@ fn run_bench_sweep(out: &std::path::Path, baseline: Option<&std::path::Path>) {
             .unwrap_or_else(|e| panic!("read baseline {}: {e}", baseline_path.display()));
         match ruwhere_bench::check_baseline(&rows, &baseline_json, TOLERANCE) {
             Ok(()) => eprintln!(
-                "baseline check passed (within {:.0}% of {})",
+                "baseline check passed (queries exact, throughput within {:.0}% of {})",
                 TOLERANCE * 100.0,
                 baseline_path.display()
             ),
@@ -232,7 +226,8 @@ fn run_bench_sweep(out: &std::path::Path, baseline: Option<&std::path::Path>) {
 fn run_metrics_export(out: &std::path::Path) {
     let workers = ruwhere_scan::available_workers();
     eprintln!("metrics: sweeping the fixture with {workers} workers, metrics on…");
-    let (metrics, days) = ruwhere_bench::collect_sweep_metrics(workers);
+    let (metrics, days) =
+        ruwhere_bench::collect_sweep_metrics(workers, ruwhere_bench::bench_days());
     let json = ruwhere_bench::render_metrics_json(&metrics, days);
     std::fs::write(out, &json).expect("write metrics artifact");
     eprintln!(

@@ -7,14 +7,14 @@
 //! `bench` job: [`bench_sweep`] measures wall-clock sweep time at a set of
 //! worker counts on a pinned fixture, [`render_bench_json`] serialises the
 //! rows to the committed `BENCH_sweep.json` format, and [`check_baseline`]
-//! gates regressions against a committed baseline.
+//! gates regressions against a committed baseline: the exact query count
+//! and a throughput floor.
 
 use ruwhere_core::{
     figures, run_study, AnalysisEngine, AsnShareSeries, CompositionSeries, DatasetStats, InfraKind,
     StudyConfig, StudyResults, TldDependencySeries, TldUsageSeries, TransitionFlows,
 };
-use ruwhere_registry::SanctionsList;
-use ruwhere_scan::{DailySweep, OpenIntelScanner, SweepMetrics, SweepOptions};
+use ruwhere_scan::{OpenIntelScanner, SweepMetrics, SweepOptions};
 use ruwhere_store::Interner;
 use ruwhere_types::{Asn, Date};
 use ruwhere_world::{World, WorldConfig};
@@ -29,7 +29,9 @@ pub const BENCH_DAYS_ENV: &str = "RUWHERE_BENCH_DAYS";
 /// is unset.
 pub const DEFAULT_BENCH_DAYS: i32 = 3;
 
-fn bench_days() -> i32 {
+/// The fixture's day count: `$RUWHERE_BENCH_DAYS` (at least 1), or
+/// [`DEFAULT_BENCH_DAYS`] when the variable is unset or unparsable.
+pub fn bench_days() -> i32 {
     std::env::var(BENCH_DAYS_ENV)
         .ok()
         .and_then(|v| v.trim().parse::<i32>().ok())
@@ -90,7 +92,7 @@ pub struct SweepBenchRow {
 /// Measure sweep throughput at each worker count on the pinned fixture:
 /// a fresh tiny world per count (identical by construction), sweeping
 /// `$RUWHERE_BENCH_DAYS` consecutive days (default
-/// [`DEFAULT_BENCH_DAYS`]). Only `sweep()` calls are timed. Metrics
+/// [`DEFAULT_BENCH_DAYS`]). Only `sweep_frame()` calls are timed. Metrics
 /// collection is ON — the CI throughput gate measures the instrumented
 /// engine, so instrumentation overhead that regresses throughput past the
 /// gate's tolerance fails the bench job.
@@ -122,7 +124,7 @@ pub fn bench_sweep_opts(worker_counts: &[usize], collect_metrics: bool) -> Vec<S
                     world.advance_to(world.today().succ());
                 }
                 let t0 = Instant::now();
-                let sweep = scanner.sweep(&mut world);
+                let sweep = scanner.sweep_frame(&mut world);
                 wall += t0.elapsed().as_secs_f64();
                 queries += sweep.stats.queries;
                 hits += sweep.stats.ns_cache_hits;
@@ -147,81 +149,28 @@ pub fn bench_sweep_opts(worker_counts: &[usize], collect_metrics: bool) -> Vec<S
         .collect()
 }
 
-/// The analysis-phase measurement: the single-pass [`AnalysisEngine`]
-/// walk vs the legacy eight-pass shape where every series folds the
-/// row-form sweep independently, over the same swept days.
+/// The analysis-phase measurement: one [`AnalysisEngine`] walk per
+/// frame feeding the eight study series, over the swept days.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnalysisBenchReport {
     /// Days analysed.
     pub sweeps: i32,
     /// Total records across the analysed frames.
     pub records: u64,
-    /// Records the single-pass engine visited (one per record per frame,
-    /// no matter how many observers ride the walk).
+    /// Records the engine visited (one per record per frame, no matter
+    /// how many observers ride the walk).
     pub single_pass_visits: u64,
     /// Observer hook dispatches the engine made (visits × observers).
     pub observer_dispatches: u64,
-    /// Records the eight-pass baseline visits (eight full walks per
-    /// frame, one per series).
-    pub eight_pass_visits: u64,
-    /// Wall-clock seconds of the single engine walk over all frames.
+    /// Wall-clock seconds of the engine walks over all frames.
     pub single_pass_seconds: f64,
-    /// Wall-clock seconds of the eight independent series folds.
-    pub eight_pass_seconds: f64,
-}
-
-impl AnalysisBenchReport {
-    /// How many times fewer record visits the single pass makes.
-    pub fn visit_ratio(&self) -> f64 {
-        if self.single_pass_visits > 0 {
-            self.eight_pass_visits as f64 / self.single_pass_visits as f64
-        } else {
-            0.0
-        }
-    }
-
-    /// Wall-clock speedup of the single pass over the eight-pass fold.
-    pub fn wall_speedup(&self) -> f64 {
-        if self.single_pass_seconds > 0.0 {
-            self.eight_pass_seconds / self.single_pass_seconds
-        } else {
-            0.0
-        }
-    }
-}
-
-/// The full eight-series observer set `run_study` drives, fresh.
-fn study_series(
-    sanctions: &SanctionsList,
-) -> (
-    CompositionSeries,
-    CompositionSeries,
-    CompositionSeries,
-    TldDependencySeries,
-    TldUsageSeries,
-    AsnShareSeries,
-    DatasetStats,
-    TransitionFlows,
-) {
-    (
-        CompositionSeries::new(InfraKind::NameServers),
-        CompositionSeries::new(InfraKind::Hosting),
-        CompositionSeries::sanctioned(InfraKind::NameServers, sanctions.clone()),
-        TldDependencySeries::new(),
-        TldUsageSeries::new(),
-        AsnShareSeries::new(),
-        DatasetStats::new(),
-        TransitionFlows::new(InfraKind::NameServers),
-    )
 }
 
 /// Measure the analysis phase on the pinned fixture: sweep
 /// `$RUWHERE_BENCH_DAYS` days once (untimed), then feed the eight study
-/// series two ways — one [`AnalysisEngine`] walk per frame (what
-/// `run_study` does), and the pre-engine shape where each series folds
-/// the row-form sweep on its own, re-walking every record eight times
-/// per day. Visit counts are exact; wall-clock covers only the folds,
-/// never the sweeping.
+/// series through one [`AnalysisEngine`] walk per frame, as `run_study`
+/// does. Visit counts are exact; wall-clock covers only the walks, never
+/// the sweeping.
 pub fn bench_analysis(workers: usize) -> AnalysisBenchReport {
     let days = bench_days();
     let mut world = World::new(WorldConfig::tiny());
@@ -241,13 +190,15 @@ pub fn bench_analysis(workers: usize) -> AnalysisBenchReport {
         frames.push(scanner.sweep_frame(&mut world).strip_metrics());
     }
     let records: u64 = frames.iter().map(|f| f.len() as u64).sum();
-    // Row-form copies for the eight-pass baseline (how retained data
-    // reached the series before the columnar store existed).
-    let dailies: Vec<DailySweep> = frames.iter().map(|f| f.to_daily_sweep(&interner)).collect();
 
-    // Single pass: one engine walk per frame feeds all eight observers.
-    let (mut c1, mut c2, mut c3, mut td, mut tu, mut asn, mut ds, mut tf) =
-        study_series(&sanctions);
+    let mut c1 = CompositionSeries::new(InfraKind::NameServers);
+    let mut c2 = CompositionSeries::new(InfraKind::Hosting);
+    let mut c3 = CompositionSeries::sanctioned(InfraKind::NameServers, sanctions);
+    let mut td = TldDependencySeries::new();
+    let mut tu = TldUsageSeries::new();
+    let mut asn = AsnShareSeries::new();
+    let mut ds = DatasetStats::new();
+    let mut tf = TransitionFlows::new(InfraKind::NameServers);
     let mut engine = AnalysisEngine::new();
     let t0 = Instant::now();
     for frame in &frames {
@@ -261,41 +212,22 @@ pub fn bench_analysis(workers: usize) -> AnalysisBenchReport {
     }
     let single_pass_seconds = t0.elapsed().as_secs_f64();
 
-    // Eight passes: every series folds the day independently.
-    let (mut c1, mut c2, mut c3, mut td, mut tu, mut asn, mut ds, mut tf) =
-        study_series(&sanctions);
-    let t0 = Instant::now();
-    for sweep in &dailies {
-        c1.observe(sweep);
-        c2.observe(sweep);
-        c3.observe(sweep);
-        td.observe(sweep);
-        tu.observe(sweep);
-        asn.observe(sweep);
-        ds.observe(sweep);
-        tf.observe(sweep);
-    }
-    let eight_pass_seconds = t0.elapsed().as_secs_f64();
-
     AnalysisBenchReport {
         sweeps: days,
         records,
         single_pass_visits: engine.record_visits(),
         observer_dispatches: engine.observer_dispatches(),
-        eight_pass_visits: 8 * records,
         single_pass_seconds,
-        eight_pass_seconds,
     }
 }
 
-/// Sweep the bench fixture's `$RUWHERE_BENCH_DAYS` days once with metrics
-/// on and return the run-level merged metric section plus the day count.
+/// Sweep the first `days` days of the tiny world once with metrics on and
+/// return the run-level merged metric section plus the day count.
 ///
 /// The merge is the same associative fold the sweep engine uses per
 /// worker, applied across days — so the run-level section inherits the
 /// per-sweep guarantee: identical for any worker count.
-pub fn collect_sweep_metrics(workers: usize) -> (SweepMetrics, i32) {
-    let days = bench_days();
+pub fn collect_sweep_metrics(workers: usize, days: i32) -> (SweepMetrics, i32) {
     let mut world = World::new(WorldConfig::tiny());
     let mut scanner = OpenIntelScanner::with_options(&world, SweepOptions::new().workers(workers));
     let mut merged = SweepMetrics::new();
@@ -303,7 +235,7 @@ pub fn collect_sweep_metrics(workers: usize) -> (SweepMetrics, i32) {
         if day > 0 {
             world.advance_to(world.today().succ());
         }
-        let sweep = scanner.sweep(&mut world);
+        let sweep = scanner.sweep_frame(&mut world);
         merged.merge(&sweep.metrics);
     }
     (merged, days)
@@ -351,16 +283,8 @@ pub fn render_bench_json(rows: &[SweepBenchRow], analysis: Option<&AnalysisBench
     if let Some(a) = analysis {
         out.push_str(&format!(
             "  \"analysis\": {{\"sweeps\": {}, \"records\": {}, \"single_pass_visits\": {}, \
-             \"observer_dispatches\": {}, \"eight_pass_visits\": {}, \"visit_ratio\": {:.2}, \
-             \"single_pass_seconds\": {:.6}, \"eight_pass_seconds\": {:.6}}},\n",
-            a.sweeps,
-            a.records,
-            a.single_pass_visits,
-            a.observer_dispatches,
-            a.eight_pass_visits,
-            a.visit_ratio(),
-            a.single_pass_seconds,
-            a.eight_pass_seconds,
+             \"observer_dispatches\": {}, \"single_pass_seconds\": {:.6}}},\n",
+            a.sweeps, a.records, a.single_pass_visits, a.observer_dispatches, a.single_pass_seconds,
         ));
     }
     out.push_str(&format!(
@@ -467,10 +391,17 @@ fn json_field(line: &str, key: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
-/// Gate current throughput against a committed baseline JSON: for every
-/// worker count present in both, the measured queries/sec must not fall
-/// more than `tolerance` (e.g. `0.15`) below the baseline. Returns the
-/// list of violations as the error.
+/// Gate current rows against a committed baseline JSON. For every worker
+/// count present in both:
+///
+/// - the query count must equal the baseline's exactly. It is a
+///   deterministic work counter (identical at every worker count for a
+///   given day count), so any difference is a real change in the work
+///   the sweep does, never noise;
+/// - the measured queries/sec must not fall more than `tolerance` (e.g.
+///   `0.15`) below the baseline.
+///
+/// Returns the list of violations as the error.
 pub fn check_baseline(
     current: &[SweepBenchRow],
     baseline_json: &str,
@@ -489,6 +420,14 @@ pub fn check_baseline(
             continue;
         };
         checked += 1;
+        if let Some(base_queries) = json_field(line, "queries") {
+            if cur.queries as f64 != base_queries {
+                violations.push(format!(
+                    "workers={}: {} queries, baseline {} (the count is exact)",
+                    cur.workers, cur.queries, base_queries
+                ));
+            }
+        }
         let floor = base_qps * (1.0 - tolerance);
         if cur.queries_per_sec < floor {
             violations.push(format!(
@@ -541,17 +480,17 @@ mod tests {
             records: 1000,
             single_pass_visits: 1000,
             observer_dispatches: 8000,
-            eight_pass_visits: 8000,
             single_pass_seconds: 0.5,
-            eight_pass_seconds: 2.0,
         }
     }
 
     #[test]
     fn analysis_line_is_invisible_to_the_gate() {
         let json = render_bench_json(&rows(), Some(&analysis()));
-        assert!(json.contains("\"analysis\": {\"sweeps\": 3"));
-        assert!(json.contains("\"visit_ratio\": 8.00"));
+        assert!(json.contains(
+            "\"analysis\": {\"sweeps\": 3, \"records\": 1000, \"single_pass_visits\": 1000, \
+             \"observer_dispatches\": 8000, \"single_pass_seconds\": 0.500000},"
+        ));
         // The analysis line adds no comparable row, so the gate result is
         // unchanged: identical numbers still pass…
         assert!(check_baseline(&rows(), &json, 0.15).is_ok());
@@ -562,10 +501,18 @@ mod tests {
     }
 
     #[test]
-    fn analysis_ratios() {
-        let a = analysis();
-        assert_eq!(a.visit_ratio(), 8.0);
-        assert_eq!(a.wall_speedup(), 4.0);
+    fn gate_rejects_any_change_in_the_query_count() {
+        let json = render_bench_json(&rows(), None);
+        for delta in [-1i64, 1] {
+            let mut moved = rows();
+            moved[0].queries = (moved[0].queries as i64 + delta) as u64;
+            // Even with throughput well above the floor…
+            moved[0].queries_per_sec = 9000.0;
+            let err = check_baseline(&moved, &json, 0.15).unwrap_err();
+            assert!(err.contains("workers=1"), "unexpected error: {err}");
+            assert!(err.contains("4000"), "unexpected error: {err}");
+            assert!(!err.contains("workers=4"), "unexpected error: {err}");
+        }
     }
 
     #[test]

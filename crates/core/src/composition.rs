@@ -8,9 +8,8 @@
 //! > geolocating the authoritative name servers for the domain." — §3.1
 
 use crate::engine::FrameObserver;
-use ruwhere_scan::{DailySweep, DomainDay};
-use ruwhere_store::{CountrySym, Interner, InternerSnap, RecordView, SweepFrame, Sym};
-use ruwhere_types::{Country, Date, DomainName};
+use ruwhere_store::{CountrySym, InternerSnap, RecordView, SweepFrame, Sym};
+use ruwhere_types::{Date, DomainName};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -29,32 +28,12 @@ pub enum Composition {
 }
 
 impl Composition {
-    /// Classify a set of per-address country observations.
+    /// Classify a set of per-address country symbols, deciding
+    /// Russian-ness from the interner snapshot.
     ///
     /// Addresses with unknown geolocation are ignored unless *all* are
     /// unknown (mirroring how the paper handles the "small percentage of
     /// disagreement", footnote 5).
-    pub fn classify<I: IntoIterator<Item = Option<Country>>>(countries: I) -> Composition {
-        let mut russian = 0usize;
-        let mut other = 0usize;
-        for c in countries {
-            match c {
-                Some(c) if c.is_russia() => russian += 1,
-                Some(_) => other += 1,
-                None => {}
-            }
-        }
-        match (russian, other) {
-            (0, 0) => Composition::Unknown,
-            (_, 0) => Composition::Full,
-            (0, _) => Composition::Non,
-            _ => Composition::Partial,
-        }
-    }
-
-    /// Classify per-address country *symbols* — the frame-path twin of
-    /// [`Composition::classify`], deciding Russian-ness from the interner
-    /// snapshot instead of owned [`Country`] values.
     pub fn classify_syms(countries: &[CountrySym], snap: &InternerSnap<'_>) -> Composition {
         let mut russian = 0usize;
         let mut other = 0usize;
@@ -188,8 +167,9 @@ struct FrameScratch {
     filter: Option<Vec<Sym>>,
 }
 
-/// A longitudinal composition accumulator. Feed it one [`DailySweep`] per
-/// measurement day; read out the per-date series.
+/// A longitudinal composition accumulator. Feed it one [`SweepFrame`] per
+/// measurement day (through [`AnalysisEngine`](crate::AnalysisEngine));
+/// read out the per-date series.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CompositionSeries {
     kind: InfraKind,
@@ -235,30 +215,6 @@ impl CompositionSeries {
             partial_days: BTreeSet::new(),
             scratch: FrameScratch::default(),
         }
-    }
-
-    fn countries_of<'a>(&self, rec: &'a DomainDay) -> impl Iterator<Item = Option<Country>> + 'a {
-        let addrs = match self.kind {
-            InfraKind::NameServers => &rec.ns_addrs,
-            InfraKind::Hosting => &rec.apex_addrs,
-        };
-        addrs.iter().map(|a| a.country)
-    }
-
-    /// Classify one domain record under this series' kind.
-    pub fn classify_record(&self, rec: &DomainDay) -> Composition {
-        Composition::classify(self.countries_of(rec))
-    }
-
-    /// Consume one row-form sweep.
-    ///
-    /// Compatibility path: columnarises the sweep through an ephemeral
-    /// interner and runs the exact same fold as the frame path, so both
-    /// entry points share one implementation.
-    pub fn observe(&mut self, sweep: &DailySweep) {
-        let interner = Interner::new();
-        let frame = SweepFrame::from_daily_sweep(sweep, &interner);
-        crate::engine::drive_one(self, &frame, &interner);
     }
 
     /// Per-date counts, in date order.
@@ -349,69 +305,41 @@ impl FrameObserver for CompositionSeries {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ruwhere_scan::{AddrInfo, SweepStats};
-    use ruwhere_types::Asn;
+    use crate::testutil::{Fixture, Rec};
+    use ruwhere_store::SweepStats;
 
-    fn addr(ip: &str, cc: Option<&str>) -> AddrInfo {
-        AddrInfo {
-            ip: ip.parse().unwrap(),
-            country: cc.map(|c| c.parse().unwrap()),
-            asn: Some(Asn(1)),
-        }
-    }
-
-    fn rec(domain: &str, ns_cc: &[Option<&str>], apex_cc: &[Option<&str>]) -> DomainDay {
-        DomainDay {
-            domain: domain.parse().unwrap(),
-            ns_names: vec![],
-            ns_addrs: ns_cc
-                .iter()
-                .enumerate()
-                .map(|(i, cc)| addr(&format!("10.0.0.{}", i + 1), *cc))
-                .collect(),
-            apex_addrs: apex_cc
-                .iter()
-                .enumerate()
-                .map(|(i, cc)| addr(&format!("10.0.1.{}", i + 1), *cc))
-                .collect(),
-        }
-    }
-
-    fn sweep(date: Date, domains: Vec<DomainDay>) -> DailySweep {
-        DailySweep {
-            date,
-            domains,
-            stats: SweepStats::default(),
-            metrics: Default::default(),
-        }
-    }
-
-    fn partial_sweep(date: Date, domains: Vec<DomainDay>) -> DailySweep {
-        DailySweep {
-            date,
-            domains,
-            stats: SweepStats {
-                completeness: ruwhere_scan::Completeness::Partial,
-                ..SweepStats::default()
-            },
-            metrics: Default::default(),
-        }
+    fn rec(
+        domain: &'static str,
+        ns_cc: &[Option<&'static str>],
+        apex_cc: &[Option<&'static str>],
+    ) -> Rec {
+        let r = ns_cc
+            .iter()
+            .fold(Rec::new(domain), |r, &cc| r.ns_addr(cc, Some(1)));
+        apex_cc.iter().fold(r, |r, &cc| r.apex_addr(cc, Some(1)))
     }
 
     #[test]
     fn imputation_carries_forward_flagged_and_bounded() {
         let d1 = Date::from_ymd(2021, 3, 21);
         let d2 = Date::from_ymd(2021, 3, 22); // outage day
+        let fx = Fixture::new();
         let mut series = CompositionSeries::new(InfraKind::NameServers);
-        series.observe(&sweep(
+        fx.feed(
+            &mut series,
             d1,
-            vec![
+            &[
                 rec("a.ru", &[Some("RU")], &[]),
                 rec("b.ru", &[Some("US")], &[]),
             ],
-        ));
+        );
         // The outage day salvages a single record.
-        series.observe(&partial_sweep(d2, vec![rec("a.ru", &[Some("RU")], &[])]));
+        let partial = SweepStats {
+            completeness: ruwhere_store::Completeness::Partial,
+            ..SweepStats::default()
+        };
+        let outage = fx.frame_with(d2, &[rec("a.ru", &[Some("RU")], &[])], partial);
+        fx.observe(&mut series, &outage);
 
         // Raw view keeps the dip.
         assert_eq!(series.at(d2).unwrap().total(), 1);
@@ -434,47 +362,48 @@ mod tests {
 
     #[test]
     fn classification_rules() {
-        assert_eq!(
-            Composition::classify([Some(Country::RU), Some(Country::RU)]),
-            Composition::Full
-        );
-        assert_eq!(
-            Composition::classify([Some(Country::RU), Some(Country::SE)]),
-            Composition::Partial
-        );
-        assert_eq!(
-            Composition::classify([Some(Country::US), Some(Country::DE)]),
-            Composition::Non
-        );
-        assert_eq!(Composition::classify([]), Composition::Unknown);
-        assert_eq!(Composition::classify([None, None]), Composition::Unknown);
+        use ruwhere_types::Country;
+        let fx = Fixture::new();
+        let classify = |countries: &[Option<Country>]| {
+            let syms: Vec<CountrySym> = countries
+                .iter()
+                .map(|&c| fx.interner.intern_country(c))
+                .collect();
+            Composition::classify_syms(&syms, &fx.interner.snapshot())
+        };
+        let (ru, se, us, de) = (Country::RU, Country::SE, Country::US, Country::DE);
+        assert_eq!(classify(&[Some(ru), Some(ru)]), Composition::Full);
+        assert_eq!(classify(&[Some(ru), Some(se)]), Composition::Partial);
+        assert_eq!(classify(&[Some(us), Some(de)]), Composition::Non);
+        assert_eq!(classify(&[]), Composition::Unknown);
+        assert_eq!(classify(&[None, None]), Composition::Unknown);
         // Unknown geolocations do not poison an otherwise-full set.
-        assert_eq!(
-            Composition::classify([Some(Country::RU), None]),
-            Composition::Full
-        );
+        assert_eq!(classify(&[Some(ru), None]), Composition::Full);
     }
 
     #[test]
     fn series_accumulates_by_kind() {
         let d = Date::from_ymd(2022, 3, 1);
-        let records = vec![
-            rec("a.ru", &[Some("RU"), Some("RU")], &[Some("US")]),
-            rec("b.ru", &[Some("RU"), Some("SE")], &[Some("RU")]),
-            rec("c.ru", &[Some("US")], &[Some("RU"), Some("NL")]),
-            rec("d.ru", &[], &[]),
-        ];
-        let s = sweep(d, records);
+        let fx = Fixture::new();
+        let frame = fx.frame(
+            d,
+            &[
+                rec("a.ru", &[Some("RU"), Some("RU")], &[Some("US")]),
+                rec("b.ru", &[Some("RU"), Some("SE")], &[Some("RU")]),
+                rec("c.ru", &[Some("US")], &[Some("RU"), Some("NL")]),
+                rec("d.ru", &[], &[]),
+            ],
+        );
 
         let mut ns = CompositionSeries::new(InfraKind::NameServers);
-        ns.observe(&s);
+        fx.observe(&mut ns, &frame);
         let c = ns.at(d).unwrap();
         assert_eq!((c.full, c.partial, c.non, c.unknown), (1, 1, 1, 1));
         assert_eq!(c.total(), 4);
         assert_eq!(c.known(), 3);
 
         let mut hosting = CompositionSeries::new(InfraKind::Hosting);
-        hosting.observe(&s);
+        fx.observe(&mut hosting, &frame);
         let c = hosting.at(d).unwrap();
         assert_eq!((c.full, c.partial, c.non, c.unknown), (1, 1, 1, 1));
     }
@@ -482,18 +411,19 @@ mod tests {
     #[test]
     fn filtered_series() {
         let d = Date::from_ymd(2022, 3, 1);
-        let s = sweep(
-            d,
-            vec![
-                rec("sanctioned.ru", &[Some("RU")], &[]),
-                rec("ordinary.ru", &[Some("US")], &[]),
-            ],
-        );
+        let fx = Fixture::new();
         let mut f = CompositionSeries::filtered(
             InfraKind::NameServers,
             vec!["sanctioned.ru".parse().unwrap()],
         );
-        f.observe(&s);
+        fx.feed(
+            &mut f,
+            d,
+            &[
+                rec("sanctioned.ru", &[Some("RU")], &[]),
+                rec("ordinary.ru", &[Some("US")], &[]),
+            ],
+        );
         let c = f.at(d).unwrap();
         assert_eq!(c.total(), 1);
         assert_eq!(c.full, 1);
@@ -503,21 +433,24 @@ mod tests {
     fn percentages_and_extrema() {
         let d1 = Date::from_ymd(2022, 2, 1);
         let d2 = Date::from_ymd(2022, 3, 1);
+        let fx = Fixture::new();
         let mut series = CompositionSeries::new(InfraKind::NameServers);
-        series.observe(&sweep(
+        fx.feed(
+            &mut series,
             d1,
-            vec![
+            &[
                 rec("a.ru", &[Some("RU")], &[]),
                 rec("b.ru", &[Some("US")], &[]),
             ],
-        ));
-        series.observe(&sweep(
+        );
+        fx.feed(
+            &mut series,
             d2,
-            vec![
+            &[
                 rec("a.ru", &[Some("RU")], &[]),
                 rec("b.ru", &[Some("RU")], &[]),
             ],
-        ));
+        );
         let ((fd, fc), (ld, lc)) = series.extrema().unwrap();
         assert_eq!(fd, d1);
         assert_eq!(ld, d2);

@@ -5,8 +5,7 @@
 //! > hosted domain apexes or authoritative DNS infrastructure."
 
 use crate::engine::FrameObserver;
-use ruwhere_scan::DailySweep;
-use ruwhere_store::{Interner, InternerSnap, RecordView, SweepFrame, SymSet};
+use ruwhere_store::{InternerSnap, RecordView, SweepFrame, SymSet};
 use ruwhere_types::{Asn, DomainName};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -31,24 +30,12 @@ pub struct DatasetStats {
     /// pre-filter so the steady state (every domain seen on day one) skips
     /// the tree insert entirely.
     seen_syms: SymSet,
-    /// Interner behind the compatibility row path — persistent so symbols
-    /// stay stable across `observe` calls.
-    row_interner: Interner,
 }
 
 impl DatasetStats {
     /// Empty accumulator.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Consume one row-form sweep (columnarised through the instance's own
-    /// persistent interner; the fold itself is the [`FrameObserver`] impl).
-    pub fn observe(&mut self, sweep: &DailySweep) {
-        let interner = std::mem::take(&mut self.row_interner);
-        let frame = SweepFrame::from_daily_sweep(sweep, &interner);
-        crate::engine::drive_one(self, &frame, &interner);
-        self.row_interner = interner;
     }
 
     /// Unique domain names ever observed (paper: 11.7 M).
@@ -133,45 +120,39 @@ impl FrameObserver for DatasetStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ruwhere_scan::{AddrInfo, DomainDay, SweepStats};
+    use crate::testutil::{Fixture, Rec};
+    use ruwhere_store::{Completeness, SweepStats};
     use ruwhere_types::Date;
 
-    fn rec(domain: &str, apex_asn: u32, ns_asn: u32) -> DomainDay {
-        let mk = |asn: u32| AddrInfo {
-            ip: "10.0.0.1".parse().unwrap(),
-            country: None,
-            asn: Some(Asn(asn)),
-        };
-        DomainDay {
-            domain: domain.parse().unwrap(),
-            ns_names: vec![],
-            ns_addrs: vec![mk(ns_asn)],
-            apex_addrs: vec![mk(apex_asn)],
-        }
+    fn rec(domain: &'static str, apex_asn: u32, ns_asn: u32) -> Rec {
+        Rec::new(domain)
+            .ns_addr(None, Some(ns_asn))
+            .apex_addr(None, Some(apex_asn))
     }
 
     #[test]
     fn accumulates_across_sweeps() {
+        let fx = Fixture::new();
         let mut stats = DatasetStats::new();
-        stats.observe(&DailySweep {
-            date: Date::from_ymd(2022, 1, 1),
-            domains: vec![rec("a.ru", 1, 10), rec("b.ru", 2, 10)],
-            stats: SweepStats::default(),
-            metrics: Default::default(),
-        });
-        stats.observe(&DailySweep {
-            date: Date::from_ymd(2022, 1, 2),
-            domains: vec![rec("a.ru", 1, 11), rec("c.ru", 3, 12)],
-            stats: SweepStats {
-                timeouts: 5,
-                servfails: 2,
-                lame: 1,
-                retries_spent: 8,
-                completeness: ruwhere_scan::Completeness::Partial,
-                ..SweepStats::default()
-            },
-            metrics: Default::default(),
-        });
+        fx.feed(
+            &mut stats,
+            Date::from_ymd(2022, 1, 1),
+            &[rec("a.ru", 1, 10), rec("b.ru", 2, 10)],
+        );
+        let faulted = SweepStats {
+            timeouts: 5,
+            servfails: 2,
+            lame: 1,
+            retries_spent: 8,
+            completeness: Completeness::Partial,
+            ..SweepStats::default()
+        };
+        let day2 = fx.frame_with(
+            Date::from_ymd(2022, 1, 2),
+            &[rec("a.ru", 1, 11), rec("c.ru", 3, 12)],
+            faulted,
+        );
+        fx.observe(&mut stats, &day2);
         assert_eq!(stats.unique_domains(), 3);
         assert_eq!(stats.hosting_asns(), 3);
         assert_eq!(stats.dns_asns(), 3);

@@ -1,10 +1,9 @@
 //! Single-pass analysis engine over columnar sweep frames.
 //!
-//! The study used to walk every [`DailySweep`] once *per series* — eight
-//! full passes over the same records per day. The engine inverts that:
-//! each series implements [`FrameObserver`], and [`AnalysisEngine`]
+//! Each series implements [`FrameObserver`], and [`AnalysisEngine`]
 //! makes **one** walk per [`SweepFrame`], dispatching every record view
-//! to all registered observers under a single interner snapshot.
+//! to all registered observers under a single interner snapshot — one
+//! visit per record per day, however many series ride the walk.
 //!
 //! # Contract
 //!
@@ -16,11 +15,9 @@
 //!   order, records in frame (zone-snapshot) order, so observers may
 //!   keep per-frame scratch without further synchronisation.
 //!
-//! The engine also counts record visits and observer dispatches, which
-//! is how `repro --bench-sweep` substantiates the "≥2× fewer visits
-//! than the eight-pass baseline" claim in EXPERIMENTS.md.
-//!
-//! [`DailySweep`]: ruwhere_scan::DailySweep
+//! The engine also counts frames, record visits and observer
+//! dispatches; `repro --report` prints them and the benchmarks' trace
+//! checks the visit count exactly.
 
 use ruwhere_store::{Interner, InternerSnap, RecordView, SweepFrame};
 
@@ -106,22 +103,6 @@ impl AnalysisEngine {
         self.record_visits += other.record_visits;
         self.observer_dispatches += other.observer_dispatches;
     }
-}
-
-/// Drive a single observer through one frame — the compatibility shim
-/// behind every series' row-level `observe(&DailySweep)` path, so the
-/// row and frame paths share one fold implementation.
-pub(crate) fn drive_one<O: FrameObserver + ?Sized>(
-    obs: &mut O,
-    frame: &SweepFrame,
-    interner: &Interner,
-) {
-    let snap = interner.snapshot();
-    obs.begin_frame(frame, &snap);
-    for rec in frame.records() {
-        obs.observe_record(&rec, &snap);
-    }
-    obs.end_frame(frame, &snap);
 }
 
 #[cfg(test)]

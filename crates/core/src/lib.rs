@@ -2,7 +2,7 @@
 //! *"Where .ru? Assessing the Impact of Conflict on Russian Domain
 //! Infrastructure"* (IMC 2022), reimplemented as a library.
 //!
-//! Input is measurement data only (daily sweeps from `ruwhere-scan`, CT
+//! Input is measurement data only (daily sweep frames from `ruwhere-scan`, CT
 //! datasets, IP-scan snapshots, sanctions lists); no analysis reads
 //! simulation ground truth. Each module reproduces one family of results:
 //!
@@ -32,6 +32,8 @@ pub mod plots;
 pub mod report;
 pub mod revocation;
 pub mod russian_ca;
+#[cfg(test)]
+mod testutil;
 pub mod tld_dependency;
 pub mod transitions;
 

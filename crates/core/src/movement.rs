@@ -1,7 +1,7 @@
 //! Domain movement between two measurement dates for one hosting network
 //! (Figures 6 and 7; §3.4 Cloudflare/Google text).
 //!
-//! Given two sweeps and a subject ASN, classify:
+//! Given two sweep frames and a subject ASN, classify:
 //!
 //! * domains in the ASN on date A: **remained** / **relocated** (with
 //!   destination ASNs) / **gone** (no longer resolving or registered);
@@ -10,7 +10,6 @@
 //!   the date-A seed set — the paper confirmed registration dates with
 //!   Cisco's Whois API; our registry data plays that role).
 
-use ruwhere_scan::DailySweep;
 use ruwhere_store::{Interner, SweepFrame, Sym};
 use ruwhere_types::{Asn, DomainName};
 use serde::{Deserialize, Serialize};
@@ -43,18 +42,6 @@ pub struct MovementReport {
 }
 
 impl MovementReport {
-    /// Analyze movement for `asn` between `a` (earlier) and `b` (later).
-    ///
-    /// Row-form compatibility path: columnarises both sweeps through an
-    /// ephemeral interner and delegates to
-    /// [`MovementReport::analyze_frames`].
-    pub fn analyze(a: &DailySweep, b: &DailySweep, asn: Asn) -> Self {
-        let interner = Interner::new();
-        let fa = SweepFrame::from_daily_sweep(a, &interner);
-        let fb = SweepFrame::from_daily_sweep(b, &interner);
-        Self::analyze_frames(&fa, &fb, asn, &interner)
-    }
-
     /// Analyze movement for `asn` between frames `a` (earlier) and `b`
     /// (later), both built by `interner`.
     ///
@@ -177,52 +164,39 @@ impl MovementReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ruwhere_scan::{AddrInfo, DomainDay, SweepStats};
+    use crate::testutil::{Fixture, Rec};
     use ruwhere_types::Date;
 
-    fn rec(domain: &str, asns: &[u32]) -> DomainDay {
-        DomainDay {
-            domain: domain.parse().unwrap(),
-            ns_names: vec![],
-            ns_addrs: vec![],
-            apex_addrs: asns
-                .iter()
-                .enumerate()
-                .map(|(i, a)| AddrInfo {
-                    ip: format!("10.9.0.{}", i + 1).parse().unwrap(),
-                    country: None,
-                    asn: Some(Asn(*a)),
-                })
-                .collect(),
-        }
+    fn rec(domain: &'static str, asns: &[u32]) -> Rec {
+        asns.iter()
+            .fold(Rec::new(domain), |r, &a| r.apex_addr(None, Some(a)))
     }
 
-    fn sweep(domains: Vec<DomainDay>) -> DailySweep {
-        DailySweep {
-            date: Date::from_ymd(2022, 3, 8),
-            domains,
-            stats: SweepStats::default(),
-            metrics: Default::default(),
-        }
+    /// Movement for `asn` between sweeps of records `a` and `b`.
+    fn analyze(a: &[Rec], b: &[Rec], asn: u32) -> MovementReport {
+        let fx = Fixture::new();
+        let fa = fx.frame(Date::from_ymd(2022, 3, 8), a);
+        let fb = fx.frame(Date::from_ymd(2022, 5, 25), b);
+        MovementReport::analyze_frames(&fa, &fb, Asn(asn), &fx.interner)
     }
 
     #[test]
     fn full_classification() {
-        let a = sweep(vec![
+        let a = [
             rec("stay.ru", &[16509]),
             rec("move.ru", &[16509]),
             rec("die.ru", &[16509]),
             rec("dark.ru", &[16509]),
             rec("other.ru", &[13335]),
-        ]);
-        let b = sweep(vec![
+        ];
+        let b = [
             rec("stay.ru", &[16509]),
             rec("move.ru", &[29802]),
             rec("dark.ru", &[]),
             rec("other.ru", &[16509]),   // relocated in
             rec("freshie.ru", &[16509]), // newly registered
-        ]);
-        let report = MovementReport::analyze(&a, &b, Asn(16509));
+        ];
+        let report = analyze(&a, &b, 16509);
         assert_eq!(report.original(), 4);
         assert_eq!(report.remained(), 1);
         assert_eq!(report.relocated(), 1);
@@ -244,37 +218,37 @@ mod tests {
     fn split_hosted_remainer() {
         // A domain adding a second provider but keeping the subject ASN
         // counts as remained.
-        let a = sweep(vec![rec("x.ru", &[16509])]);
-        let b = sweep(vec![rec("x.ru", &[16509, 29802])]);
-        let report = MovementReport::analyze(&a, &b, Asn(16509));
+        let report = analyze(
+            &[rec("x.ru", &[16509])],
+            &[rec("x.ru", &[16509, 29802])],
+            16509,
+        );
         assert_eq!(report.remained(), 1);
         assert_eq!(report.relocated(), 0);
     }
 
     #[test]
     fn intra_provider_share() {
-        let a = sweep(vec![
+        let a = [
             rec("g1.ru", &[15169]),
             rec("g2.ru", &[15169]),
             rec("g3.ru", &[15169]),
             rec("g4.ru", &[15169]),
-        ]);
-        let b = sweep(vec![
+        ];
+        let b = [
             rec("g1.ru", &[396982]),
             rec("g2.ru", &[396982]),
             rec("g3.ru", &[396982]),
             rec("g4.ru", &[24940]),
-        ]);
-        let report = MovementReport::analyze(&a, &b, Asn(15169));
+        ];
+        let report = analyze(&a, &b, 15169);
         assert_eq!(report.relocated(), 4);
         assert!((report.relocated_share_to(Asn(396982)) - 0.75).abs() < 1e-9);
     }
 
     #[test]
     fn empty_subject() {
-        let a = sweep(vec![rec("a.ru", &[1])]);
-        let b = sweep(vec![rec("a.ru", &[1])]);
-        let report = MovementReport::analyze(&a, &b, Asn(999));
+        let report = analyze(&[rec("a.ru", &[1])], &[rec("a.ru", &[1])], 999);
         assert_eq!(report.original(), 0);
         assert_eq!(report.relocated_share_to(Asn(1)), 0.0);
     }

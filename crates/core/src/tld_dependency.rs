@@ -8,8 +8,7 @@
 
 use crate::composition::{Composition, CompositionCounts};
 use crate::engine::FrameObserver;
-use ruwhere_scan::DailySweep;
-use ruwhere_store::{Interner, InternerSnap, RecordView, SweepFrame, TldSym};
+use ruwhere_store::{InternerSnap, RecordView, SweepFrame, TldSym};
 use ruwhere_types::Date;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -25,14 +24,6 @@ impl TldDependencySeries {
     /// Empty series.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Consume one row-form sweep (columnarised through an ephemeral
-    /// interner; the fold itself is the [`FrameObserver`] impl).
-    pub fn observe(&mut self, sweep: &DailySweep) {
-        let interner = Interner::new();
-        let frame = SweepFrame::from_daily_sweep(sweep, &interner);
-        crate::engine::drive_one(self, &frame, &interner);
     }
 
     /// Per-date counts in date order.
@@ -110,14 +101,6 @@ impl TldUsageSeries {
         Self::default()
     }
 
-    /// Consume one row-form sweep (columnarised through an ephemeral
-    /// interner; the fold itself is the [`FrameObserver`] impl).
-    pub fn observe(&mut self, sweep: &DailySweep) {
-        let interner = Interner::new();
-        let frame = SweepFrame::from_daily_sweep(sweep, &interner);
-        crate::engine::drive_one(self, &frame, &interner);
-    }
-
     /// Distinct TLDs ever observed (the paper counts 270).
     pub fn distinct_tlds(&self) -> usize {
         let mut set = std::collections::BTreeSet::new();
@@ -185,32 +168,20 @@ impl FrameObserver for TldUsageSeries {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ruwhere_scan::{DomainDay, SweepStats};
+    use crate::testutil::{Fixture, Rec};
 
-    fn rec(domain: &str, ns: &[&str]) -> DomainDay {
-        DomainDay {
-            domain: domain.parse().unwrap(),
-            ns_names: ns.iter().map(|s| s.parse().unwrap()).collect(),
-            ns_addrs: vec![],
-            apex_addrs: vec![],
-        }
-    }
-
-    fn sweep(date: Date, domains: Vec<DomainDay>) -> DailySweep {
-        DailySweep {
-            date,
-            domains,
-            stats: SweepStats::default(),
-            metrics: Default::default(),
-        }
+    fn rec(domain: &'static str, ns: &[&'static str]) -> Rec {
+        Rec::new(domain).ns(ns)
     }
 
     #[test]
     fn dependency_classification() {
         let d = Date::from_ymd(2022, 1, 1);
-        let s = sweep(
+        let mut series = TldDependencySeries::new();
+        Fixture::new().feed(
+            &mut series,
             d,
-            vec![
+            &[
                 rec("a.ru", &["ns1.reg.ru", "ns2.reg.ru"]),
                 rec("b.ru", &["ns1.beget.ru", "ns2.beget.pro"]),
                 rec("c.ru", &["alla.ns.cloudflare.com"]),
@@ -218,8 +189,6 @@ mod tests {
                 rec("e.ru", &[]),
             ],
         );
-        let mut series = TldDependencySeries::new();
-        series.observe(&s);
         let c = series.at(d).unwrap();
         assert_eq!((c.full, c.partial, c.non, c.unknown), (2, 1, 1, 1));
     }
@@ -227,23 +196,25 @@ mod tests {
     #[test]
     fn rf_tld_counts_as_russian() {
         let d = Date::from_ymd(2022, 1, 1);
-        let s = sweep(d, vec![rec("a.ru", &["ns1.dns.xn--p1ai"])]);
         let mut series = TldDependencySeries::new();
-        series.observe(&s);
+        Fixture::new().feed(&mut series, d, &[rec("a.ru", &["ns1.dns.xn--p1ai"])]);
         assert_eq!(series.at(d).unwrap().full, 1);
     }
 
     #[test]
     fn net_change() {
+        let fx = Fixture::new();
         let mut series = TldDependencySeries::new();
-        series.observe(&sweep(
+        fx.feed(
+            &mut series,
             Date::from_ymd(2022, 1, 1),
-            vec![rec("a.ru", &["ns1.x.ru"]), rec("b.ru", &["ns1.y.com"])],
-        ));
-        series.observe(&sweep(
+            &[rec("a.ru", &["ns1.x.ru"]), rec("b.ru", &["ns1.y.com"])],
+        );
+        fx.feed(
+            &mut series,
             Date::from_ymd(2022, 2, 1),
-            vec![rec("a.ru", &["ns1.x.com"]), rec("b.ru", &["ns1.y.com"])],
-        ));
+            &[rec("a.ru", &["ns1.x.com"]), rec("b.ru", &["ns1.y.com"])],
+        );
         let (df, dp, dn) = series.net_change().unwrap();
         assert!((df - -50.0).abs() < 1e-9);
         assert!((dp - 0.0).abs() < 1e-9);
@@ -253,17 +224,17 @@ mod tests {
     #[test]
     fn usage_counts_each_domain_once_per_tld() {
         let d = Date::from_ymd(2022, 1, 1);
-        let s = sweep(
+        let mut usage = TldUsageSeries::new();
+        Fixture::new().feed(
+            &mut usage,
             d,
-            vec![
+            &[
                 // Two .ru NS: counts once for .ru.
                 rec("a.ru", &["ns1.reg.ru", "ns2.reg.ru"]),
                 rec("b.ru", &["ns1.beget.ru", "ns2.beget.pro"]),
                 rec("c.ru", &["x.cloudflare.com", "y.cloudflare.com"]),
             ],
         );
-        let mut usage = TldUsageSeries::new();
-        usage.observe(&s);
         assert_eq!(usage.share(d, "ru"), Some(100.0 * 2.0 / 3.0));
         assert_eq!(usage.share(d, "pro"), Some(100.0 / 3.0));
         assert_eq!(usage.share(d, "com"), Some(100.0 / 3.0));
@@ -275,12 +246,12 @@ mod tests {
     #[test]
     fn shares_can_exceed_100_in_total() {
         let d = Date::from_ymd(2022, 1, 1);
-        let s = sweep(
-            d,
-            vec![rec("a.ru", &["ns1.x.ru", "ns2.x.com", "ns3.x.net"])],
-        );
         let mut usage = TldUsageSeries::new();
-        usage.observe(&s);
+        Fixture::new().feed(
+            &mut usage,
+            d,
+            &[rec("a.ru", &["ns1.x.ru", "ns2.x.com", "ns3.x.net"])],
+        );
         let sum = usage.share(d, "ru").unwrap()
             + usage.share(d, "com").unwrap()
             + usage.share(d, "net").unwrap();

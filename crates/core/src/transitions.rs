@@ -8,8 +8,7 @@
 
 use crate::composition::{classify_record_view, Composition, InfraKind};
 use crate::engine::FrameObserver;
-use ruwhere_scan::DailySweep;
-use ruwhere_store::{Interner, InternerSnap, RecordView, SweepFrame, Sym};
+use ruwhere_store::{InternerSnap, RecordView, SweepFrame, Sym};
 use ruwhere_types::Date;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -23,8 +22,7 @@ const ABSENT: u8 = u8::MAX;
 /// Per-date transition counts plus appearance/disappearance tallies.
 ///
 /// Cross-sweep state is symbol-indexed, so one instance must see frames
-/// from **one** interner (the engine contract); the row path keeps its
-/// own persistent interner for exactly that reason.
+/// from **one** interner (the engine contract).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct TransitionFlows {
     kind_series: Option<InfraKind>,
@@ -41,8 +39,6 @@ pub struct TransitionFlows {
     disappeared: BTreeMap<Date, u64>,
     /// Per-frame scratch: `(sym, code)` per record of the current frame.
     cur: Vec<(Sym, u8)>,
-    /// Interner behind the compatibility row path.
-    row_interner: Interner,
 }
 
 fn code(c: Composition) -> u8 {
@@ -70,16 +66,6 @@ impl TransitionFlows {
             kind_series: Some(kind),
             ..Self::default()
         }
-    }
-
-    /// Consume one row-form sweep, in date order (columnarised through the
-    /// instance's own persistent interner; the fold itself is the
-    /// [`FrameObserver`] impl).
-    pub fn observe(&mut self, sweep: &DailySweep) {
-        let interner = std::mem::take(&mut self.row_interner);
-        let frame = SweepFrame::from_daily_sweep(sweep, &interner);
-        crate::engine::drive_one(self, &frame, &interner);
-        self.row_interner = interner;
     }
 
     /// Count of `from → to` transitions landing on `date`.
@@ -195,62 +181,44 @@ impl FrameObserver for TransitionFlows {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ruwhere_scan::{AddrInfo, DomainDay, SweepStats};
-    use ruwhere_types::Asn;
+    use crate::testutil::{Fixture, Rec};
 
-    fn rec(domain: &str, countries: &[&str]) -> DomainDay {
-        DomainDay {
-            domain: domain.parse().unwrap(),
-            ns_names: vec![],
-            ns_addrs: countries
-                .iter()
-                .enumerate()
-                .map(|(i, cc)| AddrInfo {
-                    ip: format!("10.0.0.{}", i + 1).parse().unwrap(),
-                    country: Some(cc.parse().unwrap()),
-                    asn: Some(Asn(1)),
-                })
-                .collect(),
-            apex_addrs: vec![],
-        }
-    }
-
-    fn sweep(date: Date, domains: Vec<DomainDay>) -> DailySweep {
-        DailySweep {
-            date,
-            domains,
-            stats: SweepStats::default(),
-            metrics: Default::default(),
-        }
+    fn rec(domain: &'static str, countries: &[&'static str]) -> Rec {
+        countries
+            .iter()
+            .fold(Rec::new(domain), |r, &cc| r.ns_addr(Some(cc), Some(1)))
     }
 
     #[test]
     fn flows_track_changes_only() {
+        let fx = Fixture::new();
         let mut flows = TransitionFlows::new(InfraKind::NameServers);
         let d1 = Date::from_ymd(2022, 3, 2);
         let d2 = Date::from_ymd(2022, 3, 3);
-        flows.observe(&sweep(
+        fx.feed(
+            &mut flows,
             d1,
-            vec![
+            &[
                 rec("a.ru", &["RU", "SE"]),
                 rec("b.ru", &["RU", "SE"]),
                 rec("c.ru", &["RU"]),
                 rec("d.ru", &["US"]),
             ],
-        ));
+        );
         // No transitions recorded for the first sweep.
         assert_eq!(flows.dates().count(), 0);
 
-        flows.observe(&sweep(
+        fx.feed(
+            &mut flows,
             d2,
-            vec![
+            &[
                 rec("a.ru", &["RU", "RU"]), // partial → full
                 rec("b.ru", &["RU"]),       // partial → full
                 rec("c.ru", &["RU"]),       // unchanged
                 rec("e.ru", &["RU"]),       // appeared
                                             // d.ru disappeared
             ],
-        ));
+        );
         assert_eq!(flows.count(d2, Composition::Partial, Composition::Full), 2);
         assert_eq!(flows.count(d2, Composition::Full, Composition::Partial), 0);
         assert_eq!(flows.appeared(d2), 1);
@@ -262,11 +230,12 @@ mod tests {
 
     #[test]
     fn peak_finds_the_event_day() {
+        let fx = Fixture::new();
         let mut flows = TransitionFlows::new(InfraKind::NameServers);
         let days = [
             (
                 Date::from_ymd(2022, 3, 1),
-                vec![
+                [
                     rec("a.ru", &["RU", "SE"]),
                     rec("b.ru", &["RU", "SE"]),
                     rec("c.ru", &["RU", "SE"]),
@@ -274,7 +243,7 @@ mod tests {
             ),
             (
                 Date::from_ymd(2022, 3, 2),
-                vec![
+                [
                     rec("a.ru", &["RU", "SE"]),
                     rec("b.ru", &["RU", "SE"]),
                     rec("c.ru", &["RU"]),
@@ -282,15 +251,15 @@ mod tests {
             ),
             (
                 Date::from_ymd(2022, 3, 3),
-                vec![
+                [
                     rec("a.ru", &["RU"]),
                     rec("b.ru", &["RU"]),
                     rec("c.ru", &["RU"]),
                 ],
             ),
         ];
-        for (d, recs) in days {
-            flows.observe(&sweep(d, recs));
+        for (d, recs) in &days {
+            fx.feed(&mut flows, *d, recs);
         }
         let (peak_date, n) = flows.peak(Composition::Partial, Composition::Full).unwrap();
         assert_eq!(peak_date, Date::from_ymd(2022, 3, 3));

@@ -1,18 +1,40 @@
 //! Property tests on analysis invariants: whatever the measurement data
 //! looks like, the classifications must partition, percentages must add
 //! up, and movement accounting must conserve domains.
+//!
+//! Sweeps are generated as plain records, built into [`SweepFrame`]s with
+//! [`FrameBuilder`], and fed to the series through [`AnalysisEngine`] —
+//! the path `run_study` takes.
 
 use proptest::prelude::*;
-use ruwhere_core::composition::{Composition, CompositionSeries, InfraKind};
+use ruwhere_core::composition::{classify_record_view, Composition, CompositionSeries, InfraKind};
 use ruwhere_core::movement::{Movement, MovementReport};
-use ruwhere_core::AsnShareSeries;
-use ruwhere_scan::{AddrInfo, DailySweep, DomainDay, SweepStats};
-use ruwhere_types::{Asn, Country, Date};
+use ruwhere_core::{AnalysisEngine, AsnShareSeries};
+use ruwhere_store::{FrameBuilder, Interner, SweepFrame, SweepStats};
+use ruwhere_types::{Asn, Country, Date, DomainName};
+use std::net::Ipv4Addr;
 
 const COUNTRIES: [Option<&str>; 5] = [Some("RU"), Some("US"), Some("DE"), Some("SE"), None];
 
-fn addr(i: usize, cc_idx: usize, asn: u32) -> AddrInfo {
-    AddrInfo {
+/// One resolved address as generated.
+#[derive(Debug, Clone)]
+struct Addr {
+    ip: Ipv4Addr,
+    country: Option<Country>,
+    asn: Option<Asn>,
+}
+
+/// One domain's generated record.
+#[derive(Debug, Clone)]
+struct Rec {
+    domain: DomainName,
+    ns_names: Vec<DomainName>,
+    ns_addrs: Vec<Addr>,
+    apex_addrs: Vec<Addr>,
+}
+
+fn addr(i: usize, cc_idx: usize, asn: u32) -> Addr {
+    Addr {
         ip: format!("10.{}.{}.{}", asn % 256, i, 1).parse().unwrap(),
         country: COUNTRIES[cc_idx % COUNTRIES.len()].map(|c| c.parse::<Country>().unwrap()),
         asn: if asn == 0 { None } else { Some(Asn(asn)) },
@@ -25,8 +47,8 @@ prop_compose! {
         n_apex in 0usize..3,
         cc_seed in any::<usize>(),
         asn_seed in 0u32..6,
-    ) -> DomainDay {
-        DomainDay {
+    ) -> Rec {
+        Rec {
             domain: format!("prop-{idx}.ru").parse().unwrap(),
             ns_names: (0..n_ns).map(|i| format!("ns{i}.prop-{idx}.ru").parse().unwrap()).collect(),
             ns_addrs: (0..n_ns).map(|i| addr(i, cc_seed.wrapping_add(i), asn_seed + i as u32)).collect(),
@@ -35,33 +57,46 @@ prop_compose! {
     }
 }
 
-fn arb_sweep(date: Date) -> impl Strategy<Value = DailySweep> {
-    proptest::collection::vec(any::<u8>(), 1..40).prop_flat_map(move |seeds| {
-        let strategies: Vec<_> = seeds
-            .iter()
-            .enumerate()
-            .map(|(i, _)| arb_record(i))
-            .collect();
-        strategies.prop_map(move |domains| DailySweep {
-            date,
-            domains,
-            stats: SweepStats::default(),
-            metrics: Default::default(),
-        })
+fn arb_sweep() -> impl Strategy<Value = Vec<Rec>> {
+    proptest::collection::vec(any::<u8>(), 1..40).prop_flat_map(|seeds| {
+        let strategies: Vec<_> = (0..seeds.len()).map(arb_record).collect();
+        strategies
     })
+}
+
+/// Build the frame of `records` on `date`, interning through `interner`.
+fn frame(interner: &Interner, date: Date, records: &[Rec]) -> SweepFrame {
+    let mut b = FrameBuilder::new(date);
+    for rec in records {
+        b.begin_record(interner.intern_name(&rec.domain));
+        for ns in &rec.ns_names {
+            b.push_ns_name(interner.intern_name(ns));
+        }
+        for a in &rec.ns_addrs {
+            b.push_ns_addr(a.ip, interner.intern_country(a.country), a.asn);
+        }
+        for a in &rec.apex_addrs {
+            b.push_apex_addr(a.ip, interner.intern_country(a.country), a.asn);
+        }
+        b.end_record();
+    }
+    b.finish(SweepStats::default(), Default::default())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn composition_partitions_every_domain(sweep in arb_sweep(Date::from_ymd(2022, 3, 1))) {
+    fn composition_partitions_every_domain(records in arb_sweep()) {
+        let date = Date::from_ymd(2022, 3, 1);
+        let interner = Interner::new();
+        let sweep = frame(&interner, date, &records);
         for kind in [InfraKind::NameServers, InfraKind::Hosting] {
             let mut series = CompositionSeries::new(kind);
-            series.observe(&sweep);
-            let c = series.at(sweep.date).unwrap();
+            AnalysisEngine::new().observe_frame(&sweep, &interner, &mut [&mut series]);
+            let c = series.at(date).unwrap();
             // Partition: every domain lands in exactly one bucket.
-            prop_assert_eq!(c.total() as usize, sweep.domains.len());
+            prop_assert_eq!(c.total() as usize, records.len());
             prop_assert_eq!(c.known() + c.unknown, c.total());
             // Percentages over the known set sum to 100 (when any known).
             if c.known() > 0 {
@@ -72,9 +107,11 @@ proptest! {
     }
 
     #[test]
-    fn classification_matches_manual_rule(sweep in arb_sweep(Date::from_ymd(2022, 3, 1))) {
-        let series = CompositionSeries::new(InfraKind::NameServers);
-        for rec in &sweep.domains {
+    fn classification_matches_manual_rule(records in arb_sweep()) {
+        let interner = Interner::new();
+        let sweep = frame(&interner, Date::from_ymd(2022, 3, 1), &records);
+        let snap = interner.snapshot();
+        for (view, rec) in sweep.records().zip(&records) {
             let ru = rec.ns_addrs.iter().filter(|a| a.country.map(|c| c.is_russia()).unwrap_or(false)).count();
             let known = rec.ns_addrs.iter().filter(|a| a.country.is_some()).count();
             let expected = match (ru, known) {
@@ -83,17 +120,20 @@ proptest! {
                 (0, _) => Composition::Non,
                 _ => Composition::Partial,
             };
-            prop_assert_eq!(series.classify_record(rec), expected);
+            prop_assert_eq!(classify_record_view(InfraKind::NameServers, &view, &snap), expected);
         }
     }
 
     #[test]
     fn movement_conserves_domains(
-        a in arb_sweep(Date::from_ymd(2022, 3, 8)),
-        b in arb_sweep(Date::from_ymd(2022, 5, 25)),
+        a in arb_sweep(),
+        b in arb_sweep(),
         asn in 1u32..8,
     ) {
-        let report = MovementReport::analyze(&a, &b, Asn(asn));
+        let interner = Interner::new();
+        let fa = frame(&interner, Date::from_ymd(2022, 3, 8), &a);
+        let fb = frame(&interner, Date::from_ymd(2022, 5, 25), &b);
+        let report = MovementReport::analyze_frames(&fa, &fb, Asn(asn), &interner);
         // Conservation: every original domain has exactly one outcome.
         prop_assert_eq!(
             report.original(),
@@ -113,38 +153,43 @@ proptest! {
 
     #[test]
     fn movement_outcomes_are_consistent_with_sweeps(
-        a in arb_sweep(Date::from_ymd(2022, 3, 8)),
-        b in arb_sweep(Date::from_ymd(2022, 5, 25)),
+        a in arb_sweep(),
+        b in arb_sweep(),
     ) {
         let asn = Asn(2);
-        let report = MovementReport::analyze(&a, &b, asn);
+        let interner = Interner::new();
+        let fa = frame(&interner, Date::from_ymd(2022, 3, 8), &a);
+        let fb = frame(&interner, Date::from_ymd(2022, 5, 25), &b);
+        let report = MovementReport::analyze_frames(&fa, &fb, asn, &interner);
+        let snap = interner.snapshot();
         for (domain, outcome) in &report.outcomes {
-            let in_b = b.domains.iter().find(|r| &r.domain == domain);
+            let in_b = fb.records().find(|r| snap.name(r.domain_sym()) == domain);
             match outcome {
                 Movement::Gone => prop_assert!(in_b.is_none()),
                 Movement::Remained => {
-                    prop_assert!(in_b.unwrap().apex_addrs.iter().any(|x| x.asn == Some(asn)));
+                    prop_assert!(in_b.unwrap().apex_addrs().asns().contains(&Some(asn)));
                 }
                 Movement::RelocatedTo(dests) => {
                     prop_assert!(!dests.contains(&asn));
                     prop_assert!(!dests.is_empty());
                 }
                 Movement::Unresolved => {
-                    prop_assert!(in_b.unwrap().apex_addrs.iter().all(|x| x.asn.is_none())
-                        || in_b.unwrap().apex_addrs.is_empty());
+                    prop_assert!(in_b.unwrap().apex_addrs().asns().iter().all(|x| x.is_none()));
                 }
             }
         }
     }
 
     #[test]
-    fn asn_share_totals_are_bounded(sweep in arb_sweep(Date::from_ymd(2022, 3, 1))) {
+    fn asn_share_totals_are_bounded(records in arb_sweep()) {
+        let date = Date::from_ymd(2022, 3, 1);
+        let interner = Interner::new();
+        let sweep = frame(&interner, date, &records);
         let mut s = AsnShareSeries::new();
-        s.observe(&sweep);
-        let date = sweep.date;
+        AnalysisEngine::new().observe_frame(&sweep, &interner, &mut [&mut s]);
         let total = s.total(date).unwrap();
         // The denominator counts only resolving domains.
-        let resolving = sweep.domains.iter().filter(|d| !d.apex_addrs.is_empty()).count() as u64;
+        let resolving = records.iter().filter(|d| !d.apex_addrs.is_empty()).count() as u64;
         prop_assert_eq!(total, resolving);
         // Each individual ASN count is ≤ total; shares are percentages.
         for asn in 0..8u32 {

@@ -14,10 +14,10 @@
 //! public datasets; neither reads simulation ground truth.
 //!
 //! All pipelines share one failure vocabulary ([`ScanError`], variants
-//! aligned with the per-cause counters of [`SweepStats`]) and one run
-//! shape (the [`Scanner`] trait: `&mut self`, typed snapshot out). The
-//! daily sweep additionally embeds a deterministic observability section
-//! ([`SweepMetrics`]) that is byte-identical for any worker count.
+//! aligned with the per-cause counters of [`SweepStats`]). The daily
+//! sweep is a columnar [`SweepFrame`] that embeds a deterministic
+//! observability section ([`SweepMetrics`]), byte-identical for any
+//! worker count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,7 +27,6 @@ pub mod error;
 pub mod metrics;
 pub mod nscache;
 pub mod openintel;
-pub mod scanner;
 pub mod shard;
 pub mod whois;
 pub mod xfr;
@@ -37,11 +36,10 @@ pub use error::ScanError;
 pub use metrics::SweepMetrics;
 pub use nscache::NsCache;
 pub use openintel::{
-    available_workers, default_checkpoint_dir, AddrInfo, Completeness, DailySweep, DomainDay,
-    OpenIntelScanner, SweepOptions, SweepStats, CHECKPOINT_DIR_ENV, WORKERS_ENV,
+    available_workers, default_checkpoint_dir, Completeness, OpenIntelScanner, SweepOptions,
+    SweepStats, CHECKPOINT_DIR_ENV, WORKERS_ENV,
 };
 pub use ruwhere_store::{Interner, RecordView, SweepFrame};
-pub use scanner::Scanner;
 pub use shard::ShardPlan;
 pub use whois::{ArrivalClassification, WhoisClient};
 pub use xfr::ZoneTransferClient;

@@ -51,15 +51,11 @@
 //! the store's determinism rules: the full seed list is interned
 //! *serially, in zone-snapshot order, before any worker starts*, and
 //! names/countries discovered during measurement are interned by the
-//! sequential post-merge frame-build pass. [`OpenIntelScanner::sweep`]
-//! remains as the row-view entry point; it materialises the frame through
-//! [`SweepFrame::to_daily_sweep`], so both views are identical by
-//! construction.
+//! sequential post-merge frame-build pass.
 
 use crate::error::ScanError;
 use crate::metrics::{fail_key, keys, SweepMetrics};
 use crate::nscache::{LookupCost, NsCache};
-use crate::scanner::Scanner;
 use crate::shard::ShardPlan;
 use ruwhere_authdns::{
     IterativeResolver, NoDependencyCache, NsDependencyCache, Resolution, ResolveError,
@@ -74,7 +70,7 @@ use std::cell::RefCell;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
-pub use ruwhere_store::{AddrInfo, Completeness, DailySweep, DomainDay, SweepStats};
+pub use ruwhere_store::{Completeness, SweepStats};
 
 /// Environment variable overriding the default sweep worker count.
 pub const WORKERS_ENV: &str = "RUWHERE_WORKERS";
@@ -192,7 +188,7 @@ impl SweepOptions {
     }
 
     /// Enable or disable metric collection. Disabling empties
-    /// [`DailySweep::metrics`] and skips every instrumentation branch in
+    /// [`SweepFrame::metrics`] and skips every instrumentation branch in
     /// the network engine and resolver — the uninstrumented baseline of
     /// the overhead benchmark.
     pub fn collect_metrics(mut self, on: bool) -> Self {
@@ -543,7 +539,7 @@ fn lost_shard_output(
 
 /// The sweep engine. Owns the prototype resolver, the worker-count knob
 /// and the shared NS-target cache; create once, call
-/// [`OpenIntelScanner::sweep`] per measurement day.
+/// [`OpenIntelScanner::sweep_frame`] per measurement day.
 pub struct OpenIntelScanner {
     resolver: IterativeResolver,
     opts: SweepOptions,
@@ -551,7 +547,7 @@ pub struct OpenIntelScanner {
     interner: Arc<Interner>,
     total_queries: u64,
     /// Per-shard query counts of the most recent sweep. Deliberately a
-    /// scanner-side diagnostic, NOT part of [`DailySweep`]: how queries
+    /// scanner-side diagnostic, NOT part of the [`SweepFrame`]: how queries
     /// split across shards depends on the worker count, and everything a
     /// sweep returns must be worker-count-independent.
     last_shard_queries: Vec<u64>,
@@ -602,14 +598,6 @@ impl OpenIntelScanner {
     /// [`SweepOptions::interner`] supplied one).
     pub fn interner(&self) -> &Arc<Interner> {
         &self.interner
-    }
-
-    /// Run one full sweep at the world's current date and return the row
-    /// view — [`sweep_frame`](OpenIntelScanner::sweep_frame) materialised
-    /// through [`SweepFrame::to_daily_sweep`]. Byte-identical to the frame
-    /// by construction.
-    pub fn sweep(&mut self, world: &mut World) -> DailySweep {
-        self.sweep_frame(world).to_daily_sweep(&self.interner)
     }
 
     /// Run one full sweep at the world's current date, producing the
@@ -884,15 +872,6 @@ impl OpenIntelScanner {
     }
 }
 
-impl Scanner for OpenIntelScanner {
-    type Snapshot = DailySweep;
-
-    /// One full daily sweep — [`OpenIntelScanner::sweep`].
-    fn run(&mut self, world: &mut World) -> DailySweep {
-        self.sweep(world)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -902,24 +881,25 @@ mod tests {
     fn sweep_measures_tiny_world() {
         let mut world = World::new(WorldConfig::tiny());
         let mut scanner = OpenIntelScanner::new(&world);
-        let sweep = scanner.sweep(&mut world);
+        let sweep = scanner.sweep_frame(&mut world);
 
         assert_eq!(sweep.date, world.today());
-        assert_eq!(sweep.domains.len() as u64, sweep.stats.seeded);
+        assert_eq!(sweep.len() as u64, sweep.stats.seeded);
         assert!(sweep.stats.seeded > 400);
         // The overwhelming majority of a healthy world resolves.
-        let resolved = sweep.domains.iter().filter(|d| d.has_ns_data()).count();
+        let resolved = sweep.records().filter(|r| r.has_ns_data()).count();
         assert!(
-            resolved as f64 > sweep.domains.len() as f64 * 0.95,
+            resolved as f64 > sweep.len() as f64 * 0.95,
             "only {resolved}/{} resolved",
-            sweep.domains.len()
+            sweep.len()
         );
         // Annotations are present.
         let with_geo = sweep
-            .domains
+            .apex_addrs
+            .countries
             .iter()
-            .flat_map(|d| &d.apex_addrs)
-            .filter(|a| a.country.is_some() && a.asn.is_some())
+            .zip(&sweep.apex_addrs.asns)
+            .filter(|(c, a)| !c.is_none() && a.is_some())
             .count();
         assert!(with_geo > 0);
         assert!(sweep.stats.queries > 0);
@@ -956,7 +936,7 @@ mod tests {
         let mut world = World::new(WorldConfig::tiny());
         let mut scanner =
             OpenIntelScanner::with_options(&world, SweepOptions::new().collect_metrics(false));
-        let sweep = scanner.sweep(&mut world);
+        let sweep = scanner.sweep_frame(&mut world);
         assert!(sweep.metrics.is_empty(), "disabled metrics must stay empty");
         // Counters are unaffected: the instrumented and uninstrumented
         // sweeps measure the same world the same way.
@@ -967,19 +947,18 @@ mod tests {
     fn sweep_matches_ground_truth_for_sample() {
         let mut world = World::new(WorldConfig::tiny());
         let mut scanner = OpenIntelScanner::new(&world);
-        let sweep = scanner.sweep(&mut world);
+        let sweep = scanner.sweep_frame(&mut world);
+        let snap = scanner.interner().snapshot();
 
         let mut checked = 0;
-        for rec in sweep.domains.iter().take(50) {
-            if let Some(truth) = world.domain_state(&rec.domain) {
+        for rec in sweep.records().take(50) {
+            let domain = snap.name(rec.domain_sym());
+            if let Some(truth) = world.domain_state(domain) {
                 if rec.has_apex_data() {
+                    let ips = rec.apex_addrs().ips();
                     assert!(
-                        rec.apex_addrs
-                            .iter()
-                            .any(|a| a.ip == truth.hosting.primary_ip),
-                        "{}: measured {:?}, truth {}",
-                        rec.domain,
-                        rec.apex_addrs,
+                        ips.contains(&truth.hosting.primary_ip),
+                        "{domain}: measured {ips:?}, truth {}",
                         truth.hosting.primary_ip
                     );
                     checked += 1;
@@ -993,15 +972,14 @@ mod tests {
     fn consecutive_sweeps_observe_change() {
         let mut world = World::new(WorldConfig::tiny());
         let mut scanner = OpenIntelScanner::new(&world);
-        let s1 = scanner.sweep(&mut world);
+        let s1 = scanner.sweep_frame(&mut world);
         world.advance_to(world.today().add_days(30));
-        let s2 = scanner.sweep(&mut world);
+        let s2 = scanner.sweep_frame(&mut world);
         assert_eq!(s2.date - s1.date, 30);
-        // Churn means the seed sets differ a little.
-        let set1: std::collections::HashSet<_> =
-            s1.domains.iter().map(|d| d.domain.clone()).collect();
-        let set2: std::collections::HashSet<_> =
-            s2.domains.iter().map(|d| d.domain.clone()).collect();
+        // Churn means the seed sets differ a little (both frames share the
+        // scanner's interner, so symbols compare directly).
+        let set1: std::collections::HashSet<_> = s1.domains.iter().collect();
+        let set2: std::collections::HashSet<_> = s2.domains.iter().collect();
         assert!(set1 != set2, "thirty days without any churn is implausible");
     }
 
@@ -1011,31 +989,17 @@ mod tests {
             let mut world = World::new(WorldConfig::tiny());
             let mut scanner =
                 OpenIntelScanner::with_options(&world, SweepOptions::new().workers(workers));
-            scanner.sweep(&mut world)
+            let frame = scanner.sweep_frame(&mut world);
+            (frame, scanner.interner().dump())
         };
-        let serial = sweep_with(1);
-        let parallel = sweep_with(4);
+        let (serial, serial_syms) = sweep_with(1);
+        let (parallel, parallel_syms) = sweep_with(4);
         assert_eq!(serial, parallel, "4-worker sweep diverged from 1-worker");
+        assert_eq!(serial_syms, parallel_syms, "symbol tables diverged");
         // The embedded metric sections (histograms, link tables, cause
         // recorders) are equal too — and render to byte-identical JSON.
         assert_eq!(serial.metrics, parallel.metrics);
         assert_eq!(serial.metrics.render_json(), parallel.metrics.render_json());
-    }
-
-    #[test]
-    fn row_view_matches_native_frame() {
-        let sweep_of = |frame_path: bool| {
-            let mut world = World::new(WorldConfig::tiny());
-            let mut scanner = OpenIntelScanner::new(&world);
-            if frame_path {
-                let frame = scanner.sweep_frame(&mut world);
-                assert_eq!(frame.len() as u64, frame.stats.seeded);
-                frame.to_daily_sweep(scanner.interner())
-            } else {
-                scanner.sweep(&mut world)
-            }
-        };
-        assert_eq!(sweep_of(true), sweep_of(false));
     }
 
     #[test]
@@ -1078,14 +1042,14 @@ mod tests {
                 &world,
                 SweepOptions::new().workers(2).inject_worker_panic("", 1),
             );
-            scanner.sweep(&mut world)
+            scanner.sweep_frame(&mut world)
         });
         assert_eq!(sweep.stats.shards_retried, 1);
         assert_eq!(sweep.stats.shards_lost, 0);
         assert_eq!(sweep.stats.completeness, Completeness::Full);
-        assert_eq!(sweep.domains.len() as u64, sweep.stats.seeded);
-        let resolved = sweep.domains.iter().filter(|d| d.has_ns_data()).count();
-        assert!(resolved as f64 > sweep.domains.len() as f64 * 0.95);
+        assert_eq!(sweep.len() as u64, sweep.stats.seeded);
+        let resolved = sweep.records().filter(|r| r.has_ns_data()).count();
+        assert!(resolved as f64 > sweep.len() as f64 * 0.95);
         assert_eq!(sweep.metrics.causes.counter(keys::SHARDS_RETRIED), 1);
     }
 
@@ -1102,13 +1066,13 @@ mod tests {
                     .workers(2)
                     .inject_worker_panic("", u32::MAX),
             );
-            scanner.sweep(&mut world)
+            scanner.sweep_frame(&mut world)
         });
         assert_eq!(sweep.stats.shards_lost, 2);
         assert_eq!(sweep.stats.completeness, Completeness::Partial);
         assert_eq!(sweep.stats.ns_failures, sweep.stats.seeded);
         // Salvage drops the empty gap records: nothing measured that day.
-        assert!(sweep.domains.is_empty());
+        assert!(sweep.is_empty());
         let lost = sweep
             .metrics
             .causes
@@ -1134,13 +1098,13 @@ mod tests {
     fn ns_cache_is_rebound_per_sweep_date() {
         let mut world = World::new(WorldConfig::tiny());
         let mut scanner = OpenIntelScanner::new(&world);
-        scanner.sweep(&mut world);
+        scanner.sweep_frame(&mut world);
         let d1 = scanner.ns_cache().date();
         assert_eq!(d1, Some(world.today()));
         let filled = scanner.ns_cache().len();
         assert!(filled > 0, "sweep must populate the NS cache");
         world.advance_to(world.today().add_days(1));
-        scanner.sweep(&mut world);
+        scanner.sweep_frame(&mut world);
         assert_eq!(scanner.ns_cache().date(), Some(world.today()));
         assert_ne!(d1, scanner.ns_cache().date());
     }

@@ -1,8 +1,7 @@
 //! The columnar sweep store: one day's measurement output as
 //! struct-of-arrays over interned symbols.
 //!
-//! A [`SweepFrame`] holds the same information as a [`DailySweep`] but in
-//! six flat columns: a domain-symbol column, an NS-name symbol column and
+//! A [`SweepFrame`] holds one measurement day in six flat columns: a domain-symbol column, an NS-name symbol column and
 //! two [`AddrColumns`] (name-server and apex addresses), each delimited by
 //! a `u32` offset column of length `records + 1`. Record `i` owns the
 //! half-open range `offsets[i]..offsets[i+1]` of the data column.
@@ -20,8 +19,8 @@
 //! written by a single post-merge pass in zone-snapshot order, and symbol
 //! assignment follows the rules in [`crate::sym`].
 
-use crate::record::{AddrInfo, Completeness, DailySweep, DomainDay, SweepStats};
-use crate::sym::{CountrySym, Interner, Sym};
+use crate::record::{Completeness, SweepStats};
+use crate::sym::{CountrySym, Sym};
 use crate::SweepMetrics;
 use ruwhere_types::{Asn, Date};
 use std::net::Ipv4Addr;
@@ -71,9 +70,11 @@ pub struct SweepFrame {
     pub apex_addr_offsets: Vec<u32>,
     /// Resolved, annotated apex A records.
     pub apex_addrs: AddrColumns,
-    /// Counters (identical to the row view's).
+    /// Counters.
     pub stats: SweepStats,
-    /// Observability section (identical to the row view's).
+    /// Observability section: per-cause latency histograms, transport and
+    /// resolver aggregates. Empty when the scanner ran without metric
+    /// collection; byte-identical for any worker count otherwise.
     pub metrics: SweepMetrics,
 }
 
@@ -109,62 +110,6 @@ impl SweepFrame {
     pub fn strip_metrics(mut self) -> SweepFrame {
         self.metrics = SweepMetrics::new();
         self
-    }
-
-    /// Materialise the row view. Symbols must come from `interner`.
-    pub fn to_daily_sweep(&self, interner: &Interner) -> DailySweep {
-        let snap = interner.snapshot();
-        let domains = self
-            .records()
-            .map(|rec| {
-                let addrs = |v: &AddrsView<'_>| -> Vec<AddrInfo> {
-                    (0..v.len())
-                        .map(|i| AddrInfo {
-                            ip: v.ips()[i],
-                            country: snap.country(v.countries()[i]),
-                            asn: v.asns()[i],
-                        })
-                        .collect()
-                };
-                DomainDay {
-                    domain: snap.name(rec.domain_sym()).clone(),
-                    ns_names: rec
-                        .ns_name_syms()
-                        .iter()
-                        .map(|&s| snap.name(s).clone())
-                        .collect(),
-                    ns_addrs: addrs(&rec.ns_addrs()),
-                    apex_addrs: addrs(&rec.apex_addrs()),
-                }
-            })
-            .collect();
-        DailySweep {
-            date: self.date,
-            domains,
-            stats: self.stats,
-            metrics: self.metrics.clone(),
-        }
-    }
-
-    /// Build the columnar form of a row sweep, interning every name and
-    /// country in record order. The inverse of
-    /// [`to_daily_sweep`](SweepFrame::to_daily_sweep).
-    pub fn from_daily_sweep(sweep: &DailySweep, interner: &Interner) -> SweepFrame {
-        let mut b = FrameBuilder::new(sweep.date);
-        for rec in &sweep.domains {
-            b.begin_record(interner.intern_name(&rec.domain));
-            for ns in &rec.ns_names {
-                b.push_ns_name(interner.intern_name(ns));
-            }
-            for a in &rec.ns_addrs {
-                b.push_ns_addr(a.ip, interner.intern_country(a.country), a.asn);
-            }
-            for a in &rec.apex_addrs {
-                b.push_apex_addr(a.ip, interner.intern_country(a.country), a.asn);
-            }
-            b.end_record();
-        }
-        b.finish(sweep.stats, sweep.metrics.clone())
     }
 }
 
@@ -297,12 +242,12 @@ impl<'a> RecordView<'a> {
         }
     }
 
-    /// Whether any name server resolved (cf. [`DomainDay::has_ns_data`]).
+    /// Whether any name server resolved.
     pub fn has_ns_data(&self) -> bool {
         !self.ns_addrs().is_empty()
     }
 
-    /// Whether the apex resolved (cf. [`DomainDay::has_apex_data`]).
+    /// Whether the apex resolved.
     pub fn has_apex_data(&self) -> bool {
         !self.apex_addrs().is_empty()
     }
@@ -350,90 +295,111 @@ impl<'a> AddrsView<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sym::Interner;
     use proptest::prelude::*;
     use ruwhere_types::{Country, DomainName};
+
+    /// One address as pushed: last IPv4 octet, country, origin AS.
+    type Addr = (u8, Option<Country>, Option<u32>);
+
+    /// One record as pushed: domain, NS names, NS and apex addresses.
+    type Rec = (&'static str, Vec<&'static str>, Vec<Addr>, Vec<Addr>);
 
     fn d(s: &str) -> DomainName {
         s.parse().expect("test domain")
     }
 
-    fn addr(last: u8, country: Option<Country>, asn: Option<u32>) -> AddrInfo {
-        AddrInfo {
-            ip: Ipv4Addr::new(10, 0, 0, last),
-            country,
-            asn: asn.map(Asn),
+    fn build(interner: &Interner, records: &[Rec], stats: SweepStats) -> SweepFrame {
+        let mut b = FrameBuilder::new(Date::from_ymd(2022, 3, 1));
+        for (domain, ns_names, ns_addrs, apex_addrs) in records {
+            b.begin_record(interner.intern_name(&d(domain)));
+            for ns in ns_names {
+                b.push_ns_name(interner.intern_name(&d(ns)));
+            }
+            for &(ip, c, asn) in ns_addrs {
+                let ip = Ipv4Addr::new(10, 0, 0, ip);
+                b.push_ns_addr(ip, interner.intern_country(c), asn.map(Asn));
+            }
+            for &(ip, c, asn) in apex_addrs {
+                let ip = Ipv4Addr::new(10, 0, 0, ip);
+                b.push_apex_addr(ip, interner.intern_country(c), asn.map(Asn));
+            }
+            b.end_record();
         }
+        b.finish(stats, SweepMetrics::new())
     }
 
-    fn sample_sweep() -> DailySweep {
-        DailySweep {
-            date: Date::from_ymd(2022, 3, 1),
-            domains: vec![
-                DomainDay {
-                    domain: d("alpha.ru"),
-                    ns_names: vec![d("ns1.host.com"), d("ns2.host.com")],
-                    ns_addrs: vec![addr(1, Some(Country::RU), Some(1)), addr(2, None, None)],
-                    apex_addrs: vec![addr(3, Some(Country::SE), Some(2))],
-                },
-                DomainDay {
-                    domain: d("beta.ru"),
-                    ns_names: vec![],
-                    ns_addrs: vec![],
-                    apex_addrs: vec![],
-                },
-                DomainDay {
-                    domain: d("gamma.com"),
-                    ns_names: vec![d("ns1.host.com")],
-                    ns_addrs: vec![addr(1, Some(Country::RU), Some(1))],
-                    apex_addrs: vec![],
-                },
-            ],
-            stats: SweepStats {
-                seeded: 3,
-                queries: 17,
-                ..SweepStats::default()
-            },
-            metrics: SweepMetrics::new(),
-        }
-    }
-
-    #[test]
-    fn round_trips_through_the_columnar_form() {
-        let sweep = sample_sweep();
-        let interner = Interner::new();
-        let frame = SweepFrame::from_daily_sweep(&sweep, &interner);
-        assert_eq!(frame.len(), 3);
-        assert_eq!(frame.stats, sweep.stats);
-        assert_eq!(frame.to_daily_sweep(&interner), sweep);
-    }
-
-    #[test]
-    fn record_views_match_rows() {
-        let sweep = sample_sweep();
-        let interner = Interner::new();
-        let frame = SweepFrame::from_daily_sweep(&sweep, &interner);
+    /// Every record view reads back exactly what was pushed for it.
+    fn assert_views_match(frame: &SweepFrame, interner: &Interner, records: &[Rec]) {
         let snap = interner.snapshot();
-        for (rec, row) in frame.records().zip(&sweep.domains) {
-            assert_eq!(snap.name(rec.domain_sym()), &row.domain);
-            assert_eq!(rec.ns_name_syms().len(), row.ns_names.len());
-            assert_eq!(rec.has_ns_data(), row.has_ns_data());
-            assert_eq!(rec.has_apex_data(), row.has_apex_data());
-            assert_eq!(rec.ns_addrs().ips().len(), row.ns_addrs.len());
-            for (i, a) in row.apex_addrs.iter().enumerate() {
-                let v = rec.apex_addrs();
-                assert_eq!(v.ips()[i], a.ip);
-                assert_eq!(snap.country(v.countries()[i]), a.country);
-                assert_eq!(v.asns()[i], a.asn);
+        assert_eq!(frame.len(), records.len());
+        assert_eq!(frame.is_empty(), records.is_empty());
+        for (rec, (domain, ns_names, ns_addrs, apex_addrs)) in frame.records().zip(records) {
+            assert_eq!(snap.name(rec.domain_sym()), &d(domain));
+            let names: Vec<DomainName> = rec
+                .ns_name_syms()
+                .iter()
+                .map(|&s| snap.name(s).clone())
+                .collect();
+            assert_eq!(names, ns_names.iter().map(|n| d(n)).collect::<Vec<_>>());
+            assert_eq!(rec.has_ns_data(), !ns_addrs.is_empty());
+            assert_eq!(rec.has_apex_data(), !apex_addrs.is_empty());
+            for (view, want) in [(rec.ns_addrs(), ns_addrs), (rec.apex_addrs(), apex_addrs)] {
+                assert_eq!(view.len(), want.len());
+                assert_eq!(view.is_empty(), want.is_empty());
+                for (i, &(ip, c, asn)) in want.iter().enumerate() {
+                    assert_eq!(view.ips()[i], Ipv4Addr::new(10, 0, 0, ip));
+                    assert_eq!(snap.country(view.countries()[i]), c);
+                    assert_eq!(view.asns()[i], asn.map(Asn));
+                }
             }
         }
     }
 
+    fn sample() -> Vec<Rec> {
+        vec![
+            (
+                "alpha.ru",
+                vec!["ns1.host.com", "ns2.host.com"],
+                vec![(1, Some(Country::RU), Some(1)), (2, None, None)],
+                vec![(3, Some(Country::SE), Some(2))],
+            ),
+            ("beta.ru", vec![], vec![], vec![]),
+            (
+                "gamma.com",
+                vec!["ns1.host.com"],
+                vec![(1, Some(Country::RU), Some(1))],
+                vec![],
+            ),
+        ]
+    }
+
+    #[test]
+    fn record_views_read_back_the_builder_input() {
+        let interner = Interner::new();
+        let stats = SweepStats {
+            seeded: 3,
+            queries: 17,
+            ..SweepStats::default()
+        };
+        let frame = build(&interner, &sample(), stats);
+        assert_eq!(frame.stats, stats);
+        assert!(!frame.is_partial());
+        assert_views_match(&frame, &interner, &sample());
+        // Shared names intern once: `ns1.host.com` is one symbol in both
+        // records that delegate to it.
+        assert_eq!(
+            frame.record(0).ns_name_syms()[0],
+            frame.record(2).ns_name_syms()[0]
+        );
+        assert_eq!(frame.record(1).index(), 1);
+    }
+
     #[test]
     fn strip_metrics_keeps_columns() {
-        let mut sweep = sample_sweep();
-        sweep.metrics.resolver.srtt_us.record(1000);
         let interner = Interner::new();
-        let frame = SweepFrame::from_daily_sweep(&sweep, &interner);
+        let mut frame = build(&interner, &sample(), SweepStats::default());
+        frame.metrics.resolver.srtt_us.record(1000);
         let stripped = frame.clone().strip_metrics();
         assert!(stripped.metrics.is_empty());
         assert_eq!(stripped.domains, frame.domains);
@@ -442,33 +408,32 @@ mod tests {
 
     /// One arbitrary record drawn from small pools (so symbol sharing
     /// actually happens across records).
-    fn arb_record() -> impl Strategy<Value = DomainDay> {
+    fn arb_record() -> impl Strategy<Value = Rec> {
+        const DOMAINS: [&str; 6] = ["a.ru", "b.ru", "c.com", "d.su", "e.xn--p1ai", "f.org"];
+        const HOSTS: [&str; 3] = ["ns1.h.com", "ns2.h.com", "ns.ru"];
+        fn addr() -> impl Strategy<Value = Addr> {
+            const COUNTRIES: [Option<Country>; 4] = [
+                None,
+                Some(Country::RU),
+                Some(Country::SE),
+                Some(Country::DE),
+            ];
+            (0u8..20, 0usize..4, 0u32..4)
+                .prop_map(|(ip, c, a)| (ip, COUNTRIES[c], (a > 0).then_some(a)))
+        }
         (
-            0usize..12,
-            proptest::collection::vec(0usize..6, 0..4),
-            proptest::collection::vec((0u8..20, 0usize..4, 0usize..4), 0..4),
-            proptest::collection::vec((0u8..20, 0usize..4, 0usize..4), 0..3),
+            0usize..DOMAINS.len(),
+            proptest::collection::vec(0usize..HOSTS.len(), 0..4),
+            proptest::collection::vec(addr(), 0..4),
+            proptest::collection::vec(addr(), 0..3),
         )
             .prop_map(|(dom, nss, ns_addrs, apex_addrs)| {
-                let domains = ["a.ru", "b.ru", "c.com", "d.su", "e.xn--p1ai", "f.org"];
-                let hosts = ["ns1.h.com", "ns2.h.com", "ns.ru"];
-                let countries = [
-                    None,
-                    Some(Country::RU),
-                    Some(Country::SE),
-                    Some(Country::DE),
-                ];
-                let mk = |(ip, c, a): (u8, usize, usize)| AddrInfo {
-                    ip: Ipv4Addr::new(10, 0, 0, ip),
-                    country: countries[c % countries.len()],
-                    asn: if a == 0 { None } else { Some(Asn(a as u32)) },
-                };
-                DomainDay {
-                    domain: d(domains[dom % domains.len()]),
-                    ns_names: nss.iter().map(|&i| d(hosts[i % hosts.len()])).collect(),
-                    ns_addrs: ns_addrs.into_iter().map(mk).collect(),
-                    apex_addrs: apex_addrs.into_iter().map(mk).collect(),
-                }
+                (
+                    DOMAINS[dom],
+                    nss.into_iter().map(|i| HOSTS[i]).collect(),
+                    ns_addrs,
+                    apex_addrs,
+                )
             })
     }
 
@@ -476,19 +441,13 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
         #[test]
-        fn arbitrary_sweeps_round_trip(records in proptest::collection::vec(arb_record(), 0..12)) {
-            let sweep = DailySweep {
-                date: Date::from_ymd(2022, 2, 24),
-                domains: records,
-                stats: SweepStats::default(),
-                metrics: SweepMetrics::new(),
-            };
+        fn arbitrary_frames_read_back(records in proptest::collection::vec(arb_record(), 0..12)) {
             let interner = Interner::new();
-            let frame = SweepFrame::from_daily_sweep(&sweep, &interner);
-            prop_assert_eq!(frame.to_daily_sweep(&interner), sweep);
-            // Rebuilding against a pre-populated interner is stable too.
-            let again = SweepFrame::from_daily_sweep(&frame.to_daily_sweep(&interner), &interner);
-            prop_assert_eq!(again, frame);
+            let frame = build(&interner, &records, SweepStats::default());
+            assert_views_match(&frame, &interner, &records);
+            // Rebuilding against the now-populated interner assigns the
+            // same symbols.
+            prop_assert_eq!(build(&interner, &records, SweepStats::default()), frame);
         }
     }
 }

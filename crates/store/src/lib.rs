@@ -15,11 +15,10 @@
 //!   sweep: symbol columns plus offset-delimited address ranges, built
 //!   natively by the sweep engine and walked once per sweep by the
 //!   analysis engine.
-//! - [`DailySweep`]/[`DomainDay`] remain as the row-oriented view for
-//!   compatibility and human-facing code; [`SweepFrame::to_daily_sweep`] /
-//!   [`SweepFrame::from_daily_sweep`] convert losslessly.
-//! - [`SweepMetrics`] is the sweep's observability section (unchanged
-//!   semantics; it lives here because both representations carry it).
+//!   [`RecordView`] gives row-shaped access to one record without
+//!   materialising it.
+//! - [`SweepStats`] and [`SweepMetrics`] are the sweep's counters and
+//!   observability section, carried by every frame.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,5 +35,5 @@ pub use checkpoint::{
 };
 pub use frame::{AddrColumns, AddrsView, FrameBuilder, RecordView, SweepFrame};
 pub use metrics::{fail_key, keys, SweepMetrics};
-pub use record::{AddrInfo, Completeness, DailySweep, DomainDay, SweepStats};
+pub use record::{Completeness, SweepStats};
 pub use sym::{CountrySym, Interner, InternerSnap, Sym, SymSet, TldSym};

@@ -1,54 +1,8 @@
-//! Row-oriented sweep records: the human-facing view of one measurement
-//! day.
-//!
-//! [`DailySweep`]/[`DomainDay`] are the original per-row representation;
-//! the sweep engine now builds the columnar [`SweepFrame`](crate::frame)
-//! natively and materialises rows on demand
-//! ([`SweepFrame::to_daily_sweep`](crate::SweepFrame::to_daily_sweep)).
-//! Both carry the same [`SweepStats`] counters and
-//! [`SweepMetrics`] section under the same contract:
-//! byte-identical for any worker count.
+//! Per-sweep counters and the completeness flag a
+//! [`SweepFrame`](crate::SweepFrame) carries next to its columns, under
+//! the frame's contract: byte-identical for any worker count.
 
-use crate::metrics::SweepMetrics;
-use ruwhere_types::{Asn, Country, Date, DomainName};
 use serde::{Deserialize, Serialize};
-use std::net::Ipv4Addr;
-
-/// One resolved address with its measurement-time annotations.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AddrInfo {
-    /// The address.
-    pub ip: Ipv4Addr,
-    /// Country per the geolocation snapshot in force on the sweep date.
-    pub country: Option<Country>,
-    /// Origin AS per BGP-derived data.
-    pub asn: Option<Asn>,
-}
-
-/// One domain's daily measurement record.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DomainDay {
-    /// The measured domain.
-    pub domain: DomainName,
-    /// NS RRset targets (name-server host names).
-    pub ns_names: Vec<DomainName>,
-    /// Resolved, annotated name-server addresses.
-    pub ns_addrs: Vec<AddrInfo>,
-    /// Resolved, annotated apex A records.
-    pub apex_addrs: Vec<AddrInfo>,
-}
-
-impl DomainDay {
-    /// Whether any name server resolved.
-    pub fn has_ns_data(&self) -> bool {
-        !self.ns_addrs.is_empty()
-    }
-
-    /// Whether the apex resolved.
-    pub fn has_apex_data(&self) -> bool {
-        !self.apex_addrs.is_empty()
-    }
-}
 
 /// Whether a sweep's dataset is complete or was salvaged from a day of
 /// heavy measurement failure (an infrastructure outage, Figure-1 style).
@@ -105,27 +59,4 @@ pub struct SweepStats {
     pub shards_lost: u64,
     /// Whether the sweep is full or a salvaged partial.
     pub completeness: Completeness,
-}
-
-/// One day's complete measurement output, row form.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DailySweep {
-    /// Sweep date.
-    pub date: Date,
-    /// Per-domain records (zone-snapshot order).
-    pub domains: Vec<DomainDay>,
-    /// Counters.
-    pub stats: SweepStats,
-    /// The sweep's observability section: per-cause latency histograms,
-    /// transport and resolver aggregates. Empty when the scanner ran with
-    /// `SweepOptions::collect_metrics(false)`; byte-identical for any
-    /// worker count otherwise (same contract as `stats`).
-    pub metrics: SweepMetrics,
-}
-
-impl DailySweep {
-    /// Whether this sweep was salvaged as partial (outage day).
-    pub fn is_partial(&self) -> bool {
-        self.stats.completeness == Completeness::Partial
-    }
 }

@@ -25,16 +25,17 @@ fn main() {
 
     let mut scanner = OpenIntelScanner::new(&world);
     let mut ns = CompositionSeries::new(InfraKind::NameServers);
+    let mut engine = AnalysisEngine::new();
 
     for date in [outage.add_days(-1), outage, outage.add_days(1)] {
         world.advance_to(date);
-        let sweep = scanner.sweep(&mut world);
-        ns.observe(&sweep);
+        let sweep = scanner.sweep_frame(&mut world);
+        engine.observe_frame(&sweep, scanner.interner(), &mut [&mut ns]);
         let s = &sweep.stats;
         println!(
             "{}: {:>3}/{} records  [{}]  timeouts {}  servfails {}  lame {}  retries {}",
             sweep.date,
-            sweep.domains.len(),
+            sweep.len(),
             s.seeded,
             if sweep.is_partial() {
                 "PARTIAL"

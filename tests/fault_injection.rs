@@ -7,6 +7,7 @@ use proptest::prelude::*;
 use ruwhere::netsim::{FaultWindow, LinkFault, ServerFault, ServerFaultMode, SimTime};
 use ruwhere::prelude::*;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// A randomly drawn fault schedule, applied identically to two worlds.
 #[derive(Debug, Clone)]
@@ -64,8 +65,9 @@ fn arb_plan() -> impl Strategy<Value = PlanSpec> {
 }
 
 /// Build a tiny world under `spec`'s fault schedule, advance to the fault
-/// day and sweep it.
-fn sweep_under(spec: &PlanSpec) -> DailySweep {
+/// day and sweep it; returns the frame and the interner behind its
+/// symbols.
+fn sweep_under(spec: &PlanSpec) -> (SweepFrame, Arc<Interner>) {
     let mut cfg = WorldConfig::tiny();
     let fault_date = cfg.start.add_days(spec.fault_day_offset);
     cfg.extra_events.push((
@@ -98,7 +100,8 @@ fn sweep_under(spec: &PlanSpec) -> DailySweep {
 
     world.advance_to(fault_date);
     let mut scanner = OpenIntelScanner::new(&world);
-    scanner.sweep(&mut world)
+    let frame = scanner.sweep_frame(&mut world);
+    (frame, scanner.interner().clone())
 }
 
 proptest! {
@@ -108,31 +111,32 @@ proptest! {
 
     #[test]
     fn random_fault_plans_keep_sweeps_bit_identical(spec in arb_plan()) {
-        let a = sweep_under(&spec);
-        let b = sweep_under(&spec);
+        let (a, a_syms) = sweep_under(&spec);
+        let (b, b_syms) = sweep_under(&spec);
+        prop_assert_eq!(a_syms.dump(), b_syms.dump());
         prop_assert_eq!(a.date, b.date);
         prop_assert_eq!(a.stats, b.stats);
-        prop_assert_eq!(a.domains, b.domains);
+        prop_assert_eq!(a, b);
     }
 
     #[test]
     fn faulted_sweeps_never_corrupt_analyses(spec in arb_plan()) {
-        let sweep = sweep_under(&spec);
+        let (sweep, interner) = sweep_under(&spec);
         // However hard the faults bite, the output stays structurally
         // sound: a full sweep covers every seed; a salvaged partial keeps
         // only records that actually measured.
         if sweep.is_partial() {
-            prop_assert!(sweep.domains.iter().all(|d| d.has_ns_data() || d.has_apex_data()));
-            prop_assert!((sweep.domains.len() as u64) <= sweep.stats.seeded);
+            prop_assert!(sweep.records().all(|r| r.has_ns_data() || r.has_apex_data()));
+            prop_assert!((sweep.len() as u64) <= sweep.stats.seeded);
         } else {
-            prop_assert_eq!(sweep.domains.len() as u64, sweep.stats.seeded);
+            prop_assert_eq!(sweep.len() as u64, sweep.stats.seeded);
         }
         // Composition still partitions whatever was kept.
         let mut series = CompositionSeries::new(InfraKind::NameServers);
-        series.observe(&sweep);
+        AnalysisEngine::new().observe_frame(&sweep, &interner, &mut [&mut series]);
         prop_assert_eq!(
             series.at(sweep.date).unwrap().total() as usize,
-            sweep.domains.len()
+            sweep.len()
         );
     }
 }
@@ -156,7 +160,7 @@ fn tld_outage_with_background_loss_degrades_gracefully() {
     let mut scanner = OpenIntelScanner::new(&world);
 
     world.advance_to(outage);
-    let gap = scanner.sweep(&mut world);
+    let gap = scanner.sweep_frame(&mut world);
     assert!(
         gap.is_partial(),
         "a TLD outage day must be salvaged as partial"
@@ -166,7 +170,7 @@ fn tld_outage_with_background_loss_degrades_gracefully() {
     assert!(gap.stats.retries_spent > 0);
 
     world.advance_to(outage.succ());
-    let next = scanner.sweep(&mut world);
+    let next = scanner.sweep_frame(&mut world);
     assert!(!next.is_partial(), "the fault must lift by the next day");
     let failure_rate = next.stats.ns_failures as f64 / next.stats.seeded as f64;
     assert!(
