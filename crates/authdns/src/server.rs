@@ -4,7 +4,7 @@ use parking_lot::RwLock;
 use ruwhere_dns::message::put_header;
 use ruwhere_dns::wire::Encoder;
 use ruwhere_dns::zone::{Glue, Lookup, RRset};
-use ruwhere_dns::{Flags, Message, MessageView, Name, RData, RType, Rcode, Record, Zone};
+use ruwhere_dns::{Flags, Message, MessageView, Name, NameKey, RData, RType, Rcode, Record, Zone};
 use ruwhere_netsim::{Service, SimTime};
 use ruwhere_types::FnvMap;
 use std::cell::RefCell;
@@ -14,7 +14,7 @@ use std::sync::Arc;
 /// A set of zones served by one operator, keyed by origin.
 #[derive(Debug, Default)]
 pub struct ZoneSet {
-    zones: FnvMap<Name, Zone>,
+    zones: FnvMap<NameKey, Zone>,
 }
 
 impl ZoneSet {
@@ -25,7 +25,7 @@ impl ZoneSet {
 
     /// Insert (or replace) a zone; keyed by its origin.
     pub fn insert(&mut self, zone: Zone) {
-        self.zones.insert(zone.origin().clone(), zone);
+        self.zones.insert(NameKey(zone.origin().clone()), zone);
     }
 
     /// Remove the zone with `origin`.
@@ -54,16 +54,22 @@ impl ZoneSet {
     }
 
     /// The zone with the deepest origin that is an ancestor of (or equal
-    /// to) `qname` — the zone this operator would answer from.
-    pub fn find_best(&self, qname: &Name) -> Option<&Zone> {
-        let mut cursor = Some(qname.clone());
-        while let Some(n) = cursor {
-            if let Some(z) = self.zones.get(&n) {
+    /// to) the name with lowercase labels `qname` ([`Name::as_labels`],
+    /// [`NameView::lower_labels`]) — the zone this operator would answer
+    /// from. Each suffix is looked up, longest first, down to the root.
+    ///
+    /// [`NameView::lower_labels`]: ruwhere_dns::NameView::lower_labels
+    pub fn find_best(&self, qname: &[u8]) -> Option<&Zone> {
+        let mut at = 0;
+        loop {
+            if let Some(z) = self.zones.get(&qname[at..]) {
                 return Some(z);
             }
-            cursor = n.parent();
+            if at == qname.len() {
+                return None;
+            }
+            at += 1 + usize::from(qname[at]);
         }
-        None
     }
 }
 
@@ -117,14 +123,15 @@ impl AuthServer {
     pub fn answer(zones: &ZoneSet, query: &Message) -> Message {
         match query.questions.first() {
             None => Message::response_to(query, Rcode::FormErr),
-            Some(q) => Reply::lookup(zones, &q.name, q.rtype).to_message(query),
+            Some(q) => Reply::lookup(zones, q.name.as_labels(), q.rtype).to_message(query),
         }
     }
 
     /// The full request path: behaviour gate, parse, answer, encode. It
     /// needs only shared access (zones and behaviour live behind their
-    /// own locks), and it encodes the reply straight from the zone's
-    /// records and the query's bytes.
+    /// own locks). It looks the question up by its label bytes and
+    /// encodes the reply straight from the zone's records and the query's
+    /// bytes, so the only allocation is the reply itself.
     fn respond(&self, payload: &[u8]) -> Option<Vec<u8>> {
         let behavior = *self.behavior.read();
         if behavior == ServerBehavior::Silent {
@@ -146,7 +153,7 @@ impl AuthServer {
             ServerBehavior::Normal | ServerBehavior::Silent => {
                 zones = self.zones.read();
                 let q = query.questions().next()?;
-                Reply::lookup(&zones, &q.name.to_name(), q.rtype)
+                Reply::lookup(&zones, q.name.lower_labels(&mut [0; 255]), q.rtype)
             }
         };
         reply.encode(&query)
@@ -204,13 +211,14 @@ impl<'z> Reply<'z> {
         }
     }
 
-    /// The authoritative answer to `qname`/`qtype` from the zone set.
-    fn lookup(zones: &'z ZoneSet, qname: &Name, qtype: RType) -> Self {
+    /// The authoritative answer to the name with lowercase labels
+    /// `qname` and type `qtype` from the zone set.
+    fn lookup(zones: &'z ZoneSet, qname: &[u8], qtype: RType) -> Self {
         let Some(zone) = zones.find_best(qname) else {
             return Reply::bare(Rcode::Refused);
         };
         let mut reply = Reply::bare(Rcode::NoError);
-        match zone.lookup(qname, qtype) {
+        match zone.lookup_labels(qname, qtype) {
             Lookup::Answer(records) => {
                 reply.aa = true;
                 reply.answer = Some(records);
@@ -410,14 +418,16 @@ mod tests {
         zs.insert(Zone::new(name("ru"), soa(), 3600));
         zs.insert(example_zone());
         assert_eq!(
-            zs.find_best(&name("www.example.ru")).unwrap().origin(),
+            zs.find_best(name("www.example.ru").as_labels())
+                .unwrap()
+                .origin(),
             &name("example.ru")
         );
         assert_eq!(
-            zs.find_best(&name("other.ru")).unwrap().origin(),
+            zs.find_best(name("other.ru").as_labels()).unwrap().origin(),
             &name("ru")
         );
-        assert!(zs.find_best(&name("example.com")).is_none());
+        assert!(zs.find_best(name("example.com").as_labels()).is_none());
         assert_eq!(zs.len(), 2);
     }
 

@@ -28,6 +28,18 @@ pub enum Composition {
 }
 
 impl Composition {
+    /// The full/partial/non rule: the label of a domain with `russian`
+    /// Russian and `other` non-Russian items (addresses, or name servers
+    /// by TLD), `Unknown` when it has neither.
+    pub fn from_counts(russian: usize, other: usize) -> Composition {
+        match (russian, other) {
+            (0, 0) => Composition::Unknown,
+            (_, 0) => Composition::Full,
+            (0, _) => Composition::Non,
+            _ => Composition::Partial,
+        }
+    }
+
     /// Classify a set of per-address country symbols, deciding
     /// Russian-ness from the interner snapshot.
     ///
@@ -47,12 +59,7 @@ impl Composition {
                 other += 1;
             }
         }
-        match (russian, other) {
-            (0, 0) => Composition::Unknown,
-            (_, 0) => Composition::Full,
-            (0, _) => Composition::Non,
-            _ => Composition::Partial,
-        }
+        Composition::from_counts(russian, other)
     }
 }
 
@@ -118,7 +125,8 @@ impl CompositionCounts {
         100.0 * self.non as f64 / self.known().max(1) as f64
     }
 
-    fn bump(&mut self, c: Composition) {
+    /// Count one domain labelled `c`.
+    pub(crate) fn bump(&mut self, c: Composition) {
         match c {
             Composition::Full => self.full += 1,
             Composition::Partial => self.partial += 1,

@@ -63,18 +63,7 @@ impl FrameObserver for TldDependencySeries {
                 other += 1;
             }
         }
-        let c = match (ru, other) {
-            (0, 0) => Composition::Unknown,
-            (_, 0) => Composition::Full,
-            (0, _) => Composition::Non,
-            _ => Composition::Partial,
-        };
-        match c {
-            Composition::Full => self.scratch.full += 1,
-            Composition::Partial => self.scratch.partial += 1,
-            Composition::Non => self.scratch.non += 1,
-            Composition::Unknown => self.scratch.unknown += 1,
-        }
+        self.scratch.bump(Composition::from_counts(ru, other));
     }
 
     fn end_frame(&mut self, frame: &SweepFrame, _snap: &InternerSnap<'_>) {

@@ -46,7 +46,7 @@ pub mod wire;
 pub mod zone;
 
 pub use message::{Flags, Message, MessageView, Opcode, Question, QuestionView, Rcode};
-pub use name::{Name, NameView};
+pub use name::{Name, NameKey, NameView};
 pub use rdata::{RData, RDataView, RType, Record, RecordView, SoaData, CLASS_IN};
 pub use wire::{WireError, MAX_MESSAGE_SIZE};
 pub use zone::{Zone, ZoneDiff, ZoneParseError};

@@ -3,6 +3,7 @@
 use crate::wire::{Decoder, Encoder, WireError};
 use ruwhere_types::DomainName;
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -61,14 +62,15 @@ impl Name {
         Name::new(&[])
     }
 
-    /// This name's length-prefixed labels, without the terminal zero.
-    fn bytes(&self) -> &[u8] {
+    /// This name's length-prefixed lowercase labels, without the
+    /// terminal zero: the bytes its equality and hashing see.
+    pub fn as_labels(&self) -> &[u8] {
         &self.wire[self.start as usize..]
     }
 
     /// Whether this is the root name.
     pub fn is_root(&self) -> bool {
-        self.bytes().is_empty()
+        self.as_labels().is_empty()
     }
 
     /// Build a name from presentation labels. Each label is lowercased and
@@ -111,13 +113,13 @@ impl Name {
 
     /// Iterate over labels (leftmost first).
     pub fn labels(&self) -> impl Iterator<Item = &[u8]> {
-        Labels(self.bytes())
+        Labels(self.as_labels())
     }
 
     /// The parent name (one label removed from the left), or `None` at root.
     /// It shares this name's buffer.
     pub fn parent(&self) -> Option<Name> {
-        let first = *self.bytes().first()?;
+        let first = *self.as_labels().first()?;
         Some(Name {
             wire: Arc::clone(&self.wire),
             start: self.start + 1 + first,
@@ -126,33 +128,24 @@ impl Name {
 
     /// Whether `self` is equal to or a subdomain of `ancestor`.
     pub fn is_subdomain_of(&self, ancestor: &Name) -> bool {
-        let (wire, tail) = (self.bytes(), ancestor.bytes());
-        let Some(start) = wire.len().checked_sub(tail.len()) else {
-            return false;
-        };
-        // The ancestor must start at one of our label boundaries.
-        let mut at = 0;
-        while at < start {
-            at += 1 + wire[at] as usize;
-        }
-        at == start && wire[start..] == *tail
+        labels_under(self.as_labels(), ancestor.as_labels())
     }
 
     /// Wire length of this name when encoded without compression.
     pub fn wire_len(&self) -> usize {
-        self.bytes().len() + 1
+        self.as_labels().len() + 1
     }
 
     /// Encode into `enc`, compressing against (and registering with) the
     /// suffixes the encoder has already written.
     pub fn encode(&self, enc: &mut Encoder) {
-        encode_labels(self.bytes(), enc);
+        encode_labels(self.as_labels(), enc);
     }
 
     /// Encode without compression (used inside RDATA where some historical
     /// servers choke on pointers; also for deterministic digest input).
     pub fn encode_uncompressed(&self, enc: &mut Encoder) {
-        enc.put_slice(self.bytes());
+        enc.put_slice(self.as_labels());
         enc.put_u8(0);
     }
 
@@ -168,6 +161,20 @@ impl Name {
     pub fn to_domain_name(&self) -> Option<DomainName> {
         DomainName::from_ascii_labels(self.labels()).ok()
     }
+}
+
+/// Whether the name with length-prefixed labels `wire` is equal to or
+/// below the one with labels `tail`.
+pub(crate) fn labels_under(wire: &[u8], tail: &[u8]) -> bool {
+    let Some(start) = wire.len().checked_sub(tail.len()) else {
+        return false;
+    };
+    // The ancestor must start at one of our label boundaries.
+    let mut at = 0;
+    while at < start {
+        at += 1 + wire[at] as usize;
+    }
+    at == start && wire[start..] == *tail
 }
 
 /// Encode the length-prefixed `labels` of a name (no terminal zero) into
@@ -206,15 +213,37 @@ impl<'a> Iterator for Labels<'a> {
 
 impl PartialEq for Name {
     fn eq(&self, other: &Self) -> bool {
-        self.bytes() == other.bytes()
+        self.as_labels() == other.as_labels()
     }
 }
 
 impl Eq for Name {}
 
 impl Hash for Name {
+    /// Hashes exactly as its labels, a `[u8]`, do: [`NameKey`]'s
+    /// `Borrow<[u8]>` relies on it.
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.bytes().hash(state);
+        self.as_labels().hash(state);
+    }
+}
+
+/// A [`Name`] as a hash-map key that can also be looked up by its labels
+/// ([`Name::as_labels`], [`NameView::lower_labels`]), so a name read
+/// from a query is looked up without building a `Name`. It hashes and
+/// compares as the name does. It has no order: names order label by
+/// label, their label bytes would not.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct NameKey(pub Name);
+
+impl Borrow<Name> for NameKey {
+    fn borrow(&self) -> &Name {
+        &self.0
+    }
+}
+
+impl Borrow<[u8]> for NameKey {
+    fn borrow(&self) -> &[u8] {
+        self.0.as_labels()
     }
 }
 
@@ -343,9 +372,10 @@ impl<'a> NameView<'a> {
         }
     }
 
-    /// Copy the lowercase, length-prefixed labels into `buf`; returns how
-    /// many bytes they take (at most 254, as `parse` checked).
-    fn copy_labels(&self, buf: &mut [u8; MAX_WIRE_LEN]) -> usize {
+    /// The name's lowercase, length-prefixed labels, copied into `buf`
+    /// (they take at most 254 bytes, as `parse` checked): the bytes
+    /// [`Name::as_labels`] gives for [`to_name`](Self::to_name).
+    pub fn lower_labels<'b>(&self, buf: &'b mut [u8; MAX_WIRE_LEN]) -> &'b [u8] {
         let mut len = 0;
         for l in self.labels() {
             buf[len] = l.len() as u8;
@@ -354,22 +384,18 @@ impl<'a> NameView<'a> {
             dst.make_ascii_lowercase();
             len += 1 + l.len();
         }
-        len
+        &buf[..len]
     }
 
     /// The name as an owned [`Name`] (lowercased).
     pub fn to_name(&self) -> Name {
-        let mut buf = [0u8; MAX_WIRE_LEN];
-        let len = self.copy_labels(&mut buf);
-        Name::new(&buf[..len])
+        Name::new(self.lower_labels(&mut [0u8; MAX_WIRE_LEN]))
     }
 
     /// Encode the name into `enc` exactly as [`Name::encode`] encodes the
     /// decoded name: lowercased and compressed.
     pub fn encode(&self, enc: &mut Encoder) {
-        let mut buf = [0u8; MAX_WIRE_LEN];
-        let len = self.copy_labels(&mut buf);
-        encode_labels(&buf[..len], enc);
+        encode_labels(self.lower_labels(&mut [0u8; MAX_WIRE_LEN]), enc);
     }
 }
 

@@ -6,7 +6,6 @@
 //! message (decoding names requires random access for compression
 //! pointers, so the decoder keeps the entire message slice).
 
-use bytes::BufMut;
 use std::fmt;
 
 /// Maximum DNS message size we accept (EDNS-sized; we do not implement
@@ -83,6 +82,7 @@ impl Encoder {
     }
 
     /// Current output length (also the offset of the next byte).
+    #[inline]
     pub fn position(&self) -> usize {
         self.buf.len()
     }
@@ -92,27 +92,35 @@ impl Encoder {
         &self.buf
     }
 
+    // The writes are inlined into their callers, so a fixed-size field
+    // is a store of a known width, not a call to `memcpy`.
+
     /// Append a raw byte.
+    #[inline]
     pub fn put_u8(&mut self, v: u8) {
-        self.buf.put_u8(v);
+        self.buf.push(v);
     }
 
     /// Append a big-endian u16.
+    #[inline]
     pub fn put_u16(&mut self, v: u16) {
-        self.buf.put_u16(v);
+        self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
     /// Append a big-endian u32.
+    #[inline]
     pub fn put_u32(&mut self, v: u32) {
-        self.buf.put_u32(v);
+        self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
     /// Append raw bytes.
+    #[inline]
     pub fn put_slice(&mut self, v: &[u8]) {
-        self.buf.put_slice(v);
+        self.buf.extend_from_slice(v);
     }
 
     /// Patch a previously written u16 (used for RDLENGTH back-patching).
+    #[inline]
     pub fn patch_u16(&mut self, at: usize, v: u16) {
         self.buf[at..at + 2].copy_from_slice(&v.to_be_bytes());
     }
@@ -156,8 +164,17 @@ impl Encoder {
             if len == 0 {
                 return suffix.is_empty();
             }
+            // Most remembered suffixes differ already in the length byte;
+            // the label bytes are compared in place, byte by byte, as
+            // labels are too short to be worth a call to `bcmp`.
             let n = 1 + len as usize;
-            if suffix.len() < n || buf.get(at..at + n) != Some(&suffix[..n]) {
+            if suffix.first() != Some(&len) || suffix.len() < n {
+                return false;
+            }
+            let Some(label) = buf.get(at + 1..at + n) else {
+                return false;
+            };
+            if label.iter().zip(&suffix[1..n]).any(|(a, b)| a != b) {
                 return false;
             }
             suffix = &suffix[n..];

@@ -5,7 +5,7 @@
 //! seeds its daily sweep from the zone's delegation list — exactly the
 //! data flow of the paper's measurement infrastructure.
 
-use crate::name::Name;
+use crate::name::{labels_under, Name, NameKey};
 use crate::rdata::{RData, RType, Record, SoaData};
 use ruwhere_types::FnvMap;
 use serde::{Deserialize, Serialize};
@@ -103,9 +103,10 @@ pub struct Zone {
     /// The SOA record at the apex.
     soa: Record,
     /// Owner → records at that owner, hashed: every query looks owners
-    /// up. The ordered walks ([`Zone::iter`], [`Zone::delegations`]) sort
-    /// the owners, so snapshots stay canonical, diffable and reproducible.
-    records: FnvMap<Name, Vec<Record>>,
+    /// up, by name or by a query's label bytes. The ordered walks
+    /// ([`Zone::iter`], [`Zone::delegations`]) sort the owners, so
+    /// snapshots stay canonical, diffable and reproducible.
+    records: FnvMap<NameKey, Vec<Record>>,
 }
 
 /// Error from parsing the textual zone format.
@@ -167,7 +168,7 @@ impl Zone {
             return false;
         }
         self.records
-            .entry(record.name.clone())
+            .entry(NameKey(record.name.clone()))
             .or_default()
             .push(record);
         true
@@ -217,7 +218,7 @@ impl Zone {
 
     /// The owners and their records, in canonical (label-wise) order.
     fn by_owner(&self) -> Vec<(&Name, &Vec<Record>)> {
-        let mut owners: Vec<_> = self.records.iter().collect();
+        let mut owners: Vec<_> = self.records.iter().map(|(k, v)| (&k.0, v)).collect();
         owners.sort_unstable_by(|a, b| a.0.cmp(b.0));
         owners
     }
@@ -233,7 +234,17 @@ impl Zone {
     /// Authoritative lookup implementing RFC 1034 §4.3.2 zone semantics
     /// (without wildcards or DNSSEC).
     pub fn lookup(&self, qname: &Name, qtype: RType) -> Lookup<'_> {
-        if !qname.is_subdomain_of(&self.origin) {
+        self.lookup_labels(qname.as_labels(), qtype)
+    }
+
+    /// [`lookup`](Zone::lookup) of the name whose lowercase labels are
+    /// `qname` ([`Name::as_labels`], [`NameView::lower_labels`]), without
+    /// building the name.
+    ///
+    /// [`NameView::lower_labels`]: crate::NameView::lower_labels
+    pub fn lookup_labels(&self, qname: &[u8], qtype: RType) -> Lookup<'_> {
+        let origin = self.origin.as_labels();
+        if !labels_under(qname, origin) {
             return Lookup::OutOfZone;
         }
 
@@ -241,21 +252,19 @@ impl Zone {
         // (inclusive). The highest (closest-to-apex) delegation wins, so
         // walk up from qname and keep the last cut found.
         let mut cut = None;
-        let mut owner = qname.clone();
-        while owner.wire_len() > self.origin.wire_len() {
-            if let Some(recs) = self.records.get(&owner) {
+        let mut at = 0;
+        while qname.len() - at > origin.len() {
+            if let Some(recs) = self.records.get(&qname[at..]) {
                 let ns = RRset::new(recs, RType::Ns);
                 // Below a delegation, unless the query is *for* the cut
                 // itself with type DS (a parent-side type). An NS query for
                 // the cut still refers: that is the norm for a parent.
-                let parent_side = qtype == RType::Ds && owner.wire_len() == qname.wire_len();
+                let parent_side = qtype == RType::Ds && at == 0;
                 if !parent_side && !ns.is_empty() {
                     cut = Some(ns);
                 }
             }
-            owner = owner
-                .parent()
-                .expect("a name below the origin has a parent");
+            at += 1 + usize::from(qname[at]);
         }
         if let Some(ns) = cut {
             return Lookup::Delegation {
@@ -264,13 +273,13 @@ impl Zone {
             };
         }
 
-        if qname == &self.origin && qtype == RType::Soa {
+        if qname == origin && qtype == RType::Soa {
             return Lookup::Answer(RRset::new(std::slice::from_ref(&self.soa), RType::Soa));
         }
         match self.records.get(qname) {
             // The apex always exists (it carries the SOA), so a miss there
             // is NoData, not NXDOMAIN.
-            None if qname == &self.origin => Lookup::NoData,
+            None if qname == origin => Lookup::NoData,
             None => Lookup::NxDomain,
             Some(recs) => {
                 let matching = RRset::new(recs, qtype);

@@ -6,7 +6,7 @@
 //! packet-level substrate:
 //!
 //! * [`ip`] — IPv4 CIDR prefixes and address allocation.
-//! * [`routing`] — a bit-trie longest-prefix-match table.
+//! * [`routing`] — a longest-prefix-match table, hashed per prefix length.
 //! * [`topology`] — an AS-level topology mapping prefixes to autonomous
 //!   systems with countries and deterministic inter-AS latencies.
 //! * [`sim`] — the event core: virtual time, a scheduler, hosts with UDP

@@ -1,12 +1,15 @@
-//! Longest-prefix-match routing table as a binary trie.
+//! Longest-prefix-match routing table: one hash map per prefix length.
 
 use crate::ip::Ipv4Net;
+use ruwhere_types::FnvMap;
 use std::net::Ipv4Addr;
 
-/// A binary (one bit per level) trie mapping IPv4 prefixes to values.
+/// IPv4 prefixes mapped to values, one hash map per prefix length.
 ///
-/// Lookup walks at most 32 levels and returns the value of the most specific
-/// matching prefix — the standard FIB longest-prefix-match.
+/// Lookup masks the address to each length that holds a prefix, longest
+/// first, and returns the value of the first hit: the most specific
+/// matching prefix, the standard FIB longest-prefix-match. A table holds
+/// a few distinct lengths, so a lookup is a few hash probes.
 ///
 /// ```
 /// use ruwhere_netsim::RoutingTable;
@@ -19,79 +22,50 @@ use std::net::Ipv4Addr;
 /// ```
 #[derive(Debug, Clone)]
 pub struct RoutingTable<V> {
-    nodes: Vec<Node<V>>,
-    len: usize,
+    /// `by_len[l]`: the /`l` prefixes, keyed by their network address.
+    by_len: [FnvMap<u32, V>; 33],
+    /// Bit `l` is set when `by_len[l]` is not empty.
+    lens: u64,
 }
 
-#[derive(Debug, Clone)]
-struct Node<V> {
-    children: [Option<u32>; 2],
-    value: Option<V>,
-}
-
-impl<V> Node<V> {
-    fn empty() -> Self {
-        Node {
-            children: [None, None],
-            value: None,
-        }
-    }
+/// The network mask of a /`len` prefix.
+fn mask(len: u32) -> u32 {
+    u32::MAX.checked_shl(32 - len).unwrap_or(0)
 }
 
 impl<V> RoutingTable<V> {
     /// Empty table.
     pub fn new() -> Self {
         RoutingTable {
-            nodes: vec![Node::empty()],
-            len: 0,
+            by_len: std::array::from_fn(|_| FnvMap::default()),
+            lens: 0,
         }
     }
 
     /// Number of prefixes with a value.
     pub fn len(&self) -> usize {
-        self.len
+        self.by_len.iter().map(|m| m.len()).sum()
     }
 
     /// Whether the table holds no prefixes.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.lens == 0
     }
 
     /// Insert (or replace) the value at `net`. Returns the previous value.
     pub fn insert(&mut self, net: Ipv4Net, value: V) -> Option<V> {
-        let mut idx = 0usize;
-        let bits = net.bits();
-        for depth in 0..net.prefix_len() {
-            let bit = ((bits >> (31 - depth)) & 1) as usize;
-            let next = match self.nodes[idx].children[bit] {
-                Some(n) => n as usize,
-                None => {
-                    self.nodes.push(Node::empty());
-                    let n = self.nodes.len() - 1;
-                    self.nodes[idx].children[bit] = Some(n as u32);
-                    n
-                }
-            };
-            idx = next;
-        }
-        let old = self.nodes[idx].value.replace(value);
-        if old.is_none() {
-            self.len += 1;
-        }
-        old
+        let l = net.prefix_len();
+        self.lens |= 1 << l;
+        self.by_len[usize::from(l)].insert(net.bits(), value)
     }
 
     /// Remove the value at exactly `net`. Returns the removed value.
     pub fn remove(&mut self, net: Ipv4Net) -> Option<V> {
-        let mut idx = 0usize;
-        let bits = net.bits();
-        for depth in 0..net.prefix_len() {
-            let bit = ((bits >> (31 - depth)) & 1) as usize;
-            idx = self.nodes[idx].children[bit]? as usize;
-        }
-        let old = self.nodes[idx].value.take();
-        if old.is_some() {
-            self.len -= 1;
+        let l = net.prefix_len();
+        let map = &mut self.by_len[usize::from(l)];
+        let old = map.remove(&net.bits());
+        if map.is_empty() {
+            self.lens &= !(1 << l);
         }
         old
     }
@@ -99,32 +73,20 @@ impl<V> RoutingTable<V> {
     /// Longest-prefix-match lookup.
     pub fn lookup(&self, ip: Ipv4Addr) -> Option<&V> {
         let bits = u32::from(ip);
-        let mut idx = 0usize;
-        let mut best: Option<&V> = self.nodes[0].value.as_ref();
-        for depth in 0..32 {
-            let bit = ((bits >> (31 - depth)) & 1) as usize;
-            match self.nodes[idx].children[bit] {
-                Some(next) => {
-                    idx = next as usize;
-                    if let Some(v) = self.nodes[idx].value.as_ref() {
-                        best = Some(v);
-                    }
-                }
-                None => break,
+        let mut lens = self.lens;
+        while lens != 0 {
+            let l = 63 - lens.leading_zeros();
+            if let Some(v) = self.by_len[l as usize].get(&(bits & mask(l))) {
+                return Some(v);
             }
+            lens &= !(1 << l);
         }
-        best
+        None
     }
 
     /// Exact-match lookup of a prefix (not LPM).
     pub fn get(&self, net: Ipv4Net) -> Option<&V> {
-        let mut idx = 0usize;
-        let bits = net.bits();
-        for depth in 0..net.prefix_len() {
-            let bit = ((bits >> (31 - depth)) & 1) as usize;
-            idx = self.nodes[idx].children[bit]? as usize;
-        }
-        self.nodes[idx].value.as_ref()
+        self.by_len[usize::from(net.prefix_len())].get(&net.bits())
     }
 }
 
@@ -202,7 +164,7 @@ mod tests {
 
     #[test]
     fn dense_random_consistency() {
-        // Cross-check the trie against a brute-force scan on random data.
+        // Cross-check the table against a brute-force scan on random data.
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(0xDA7A);
         let mut t = RoutingTable::new();

@@ -12,7 +12,8 @@ use crate::fault::FaultPlan;
 use crate::obs::NetObs;
 use crate::topology::Topology;
 use parking_lot::RwLock;
-use ruwhere_types::{Asn, SeedTree};
+use ruwhere_types::{Asn, FnvMap, SeedTree};
+use std::cell::OnceCell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
@@ -180,7 +181,9 @@ pub trait Transport {
 pub struct Network {
     topo: Topology,
     seed: SeedTree,
-    services: HashMap<(Ipv4Addr, u16), RwLock<Box<dyn Service>>>,
+    /// `seed.child("lane")`: the root of every lane's streams.
+    lanes: SeedTree,
+    services: FnvMap<(Ipv4Addr, u16), RwLock<Box<dyn Service>>>,
     queue: BinaryHeap<Reverse<(SimTime, u64)>>,
     pending: HashMap<u64, Event>,
     now: SimTime,
@@ -203,8 +206,9 @@ impl Network {
     pub fn new(topo: Topology, seed: SeedTree) -> Self {
         Network {
             topo,
+            lanes: seed.child("lane"),
             seed,
-            services: HashMap::new(),
+            services: FnvMap::default(),
             queue: BinaryHeap::new(),
             pending: HashMap::new(),
             now: SimTime::ZERO,
@@ -532,9 +536,13 @@ impl Network {
     /// `lane(&format!("{day}/{domain}"))` without building the string.
     pub fn lane(&self, key: impl fmt::Display) -> Lane<'_> {
         let start = self.now;
+        let stream = self.lanes.child_display(key);
         Lane {
             net: self,
-            stream: self.seed.child("lane").child_display(key),
+            stream,
+            pkt: stream.child("pkt"),
+            loss: OnceCell::new(),
+            linkfault: OnceCell::new(),
             start,
             now: start,
             seq: 0,
@@ -615,6 +623,13 @@ impl NetStats {
 pub struct Lane<'a> {
     net: &'a Network,
     stream: SeedTree,
+    /// `stream.child("pkt")`: the packet identities jitter is drawn from.
+    pkt: SeedTree,
+    /// `stream.child("loss")`, derived on the first loss draw: most
+    /// lanes run without uniform loss and never need it.
+    loss: OnceCell<SeedTree>,
+    /// `stream.child("linkfault")`, derived on the first link-fault draw.
+    linkfault: OnceCell<SeedTree>,
     start: SimTime,
     now: SimTime,
     seq: u64,
@@ -662,26 +677,31 @@ impl Lane<'_> {
         self.obs = obs;
     }
 
-    /// Deterministic Bernoulli draw for this lane's packet `seq` against
-    /// probability `p`.
-    fn bernoulli(&self, label: &str, seq: u64, p: f64) -> bool {
+    /// Deterministic Bernoulli(`loss_rate`) draw for this lane's packet
+    /// `seq`.
+    fn lost(&self, seq: u64) -> bool {
+        let p = self.net.loss_rate;
         if p <= 0.0 {
             return false;
         }
-        let h = self.stream.child(label).child_idx(seq).seed();
+        let loss = self.loss.get_or_init(|| self.stream.child("loss"));
+        let h = loss.child_idx(seq).seed();
         let u = (h >> 11) as f64 / (1u64 << 53) as f64;
         u < p
     }
 
     /// Whether packet `seq` on the path `a`→`b` is eaten by an active link
     /// fault's extra-loss process (the uniform loss process is a separate
-    /// [`bernoulli`](Lane::bernoulli) draw, so drops can be attributed to
-    /// their cause).
+    /// [`lost`](Lane::lost) draw, so drops can be attributed to their
+    /// cause).
     fn fault_lost(&self, seq: u64, a: Ipv4Addr, b: Ipv4Addr, at: SimTime) -> bool {
-        if self.net.faults.is_empty() {
+        if self.net.faults.link_faults().is_empty() {
             return false;
         }
-        let base = self.stream.child("linkfault").child_idx(seq);
+        let linkfault = self
+            .linkfault
+            .get_or_init(|| self.stream.child("linkfault"));
+        let base = linkfault.child_idx(seq);
         self.net.faults.active_link_faults(a, b, at).any(|(i, f)| {
             if f.extra_loss <= 0.0 {
                 return false;
@@ -692,25 +712,26 @@ impl Lane<'_> {
         })
     }
 
-    /// One-way hop for this lane's packet `seq`: the AS pair it crosses and
-    /// its latency, `None` if either side is unrouted.
-    fn hop(&self, from: Ipv4Addr, to: Ipv4Addr, seq: u64) -> Option<(Asn, Asn, u64)> {
-        let a = self.net.topo.asn_of(from)?;
-        let b = self.net.topo.asn_of(to)?;
-        let packet_id = self.stream.child("pkt").child_idx(seq).seed();
-        let degraded = self.net.faults.extra_latency_us(from, to, self.now);
-        let lat =
-            self.net.topo.latency_us(a, b) + self.net.topo.jitter_us(a, b, packet_id) + degraded;
-        Some((a, b, lat))
+    /// One-way latency of this lane's packet `seq` from `from` (in AS `a`)
+    /// to `to` (in AS `b`), sent at `at`: the pair's base latency, the
+    /// packet's jitter, and the extra latency of link faults active then.
+    fn hop_us(&self, a: Asn, b: Asn, from: Ipv4Addr, to: Ipv4Addr, seq: u64, at: SimTime) -> u64 {
+        let topo = &self.net.topo;
+        let packet_id = self.pkt.child_idx(seq).seed();
+        let degraded = self.net.faults.extra_latency_us(from, to, at);
+        topo.latency_us(a, b) + topo.jitter_us(a, b, packet_id) + degraded
     }
 
-    /// One request attempt against `dst`. On success advances the lane
-    /// clock to the reply's arrival and returns the payload; on failure
-    /// leaves the clock untouched (the caller burns the attempt timeout).
+    /// One request attempt from `src_ip` in AS `src_as` against `dst` in
+    /// AS `dst_as` (`None`: unrouted). On success advances the lane clock
+    /// to the reply's arrival and returns the payload; on failure leaves
+    /// the clock untouched (the caller burns the attempt timeout).
     fn attempt_once(
         &mut self,
         src_ip: Ipv4Addr,
+        src_as: Asn,
         dst: (Ipv4Addr, u16),
+        dst_as: Option<Asn>,
         payload: &[u8],
         deadline: SimTime,
     ) -> Option<Vec<u8>> {
@@ -720,8 +741,9 @@ impl Lane<'_> {
         let src = (src_ip, 49152 + (out_seq % 16384) as u16);
         // Unrouted destination: nothing is scheduled; the attempt waits out
         // its timeout, as in the serial engine.
-        let (a, b, lat) = self.hop(src_ip, dst.0, out_seq)?;
-        if self.bernoulli("loss", out_seq, self.net.loss_rate) {
+        let (a, b) = (src_as, dst_as?);
+        let lat = self.hop_us(a, b, src_ip, dst.0, out_seq, self.now);
+        if self.lost(out_seq) {
             self.stats.dropped += 1;
             if self.obs_on {
                 self.obs.hop_dropped(a, b, false);
@@ -759,29 +781,30 @@ impl Lane<'_> {
         self.stats.delivered += 1;
         // Silent server: wait out the timeout.
         let reply = reply?;
-        // The reply datagram pays its own loss draw and latency. Draws are
-        // pure functions of the sequence number, so looking the hop up
-        // first (for the link key) cannot perturb them.
+        // The reply datagram pays its own loss draw and latency, both
+        // taken at its send instant, the request's arrival `at`. Draws are
+        // pure functions of the sequence number, so timing the hop first
+        // cannot perturb them.
         self.seq += 1;
         let back_seq = self.seq;
         self.stats.sent += 1;
-        let (ra, rb, back_lat) = self.hop(dst.0, src_ip, back_seq)?;
-        if self.bernoulli("loss", back_seq, self.net.loss_rate) {
+        let back_lat = self.hop_us(b, a, dst.0, src_ip, back_seq, at);
+        if self.lost(back_seq) {
             self.stats.dropped += 1;
             if self.obs_on {
-                self.obs.hop_dropped(ra, rb, false);
+                self.obs.hop_dropped(b, a, false);
             }
             return None;
         }
         if self.fault_lost(back_seq, dst.0, src_ip, at) {
             self.stats.dropped += 1;
             if self.obs_on {
-                self.obs.hop_dropped(ra, rb, true);
+                self.obs.hop_dropped(b, a, true);
             }
             return None;
         }
         if self.obs_on {
-            self.obs.hop_delivered(ra, rb, back_lat);
+            self.obs.hop_delivered(b, a, back_lat);
         }
         let back_at = at.plus_us(proc + back_lat);
         if back_at > deadline {
@@ -807,9 +830,12 @@ impl Transport for Lane<'_> {
         timeout_us: u64,
         attempts: u32,
     ) -> Result<Vec<u8>, NetError> {
-        if self.net.topo.asn_of(src_ip).is_none() {
+        // One route lookup per endpoint serves every attempt: the lane
+        // borrows the network, so the topology cannot move under it.
+        let Some(src_as) = self.net.topo.asn_of(src_ip) else {
             return Err(NetError::NoRoute);
-        }
+        };
+        let dst_as = self.net.topo.asn_of(dst.0);
         let t0 = self.now;
         for _attempt in 0..attempts.max(1) {
             let deadline = self.now.plus_us(timeout_us);
@@ -818,7 +844,7 @@ impl Transport for Lane<'_> {
             let faulted_at_send = self.obs_on
                 && !self.net.faults.is_empty()
                 && self.net.faults.server_down(dst.0, dst.1, self.now);
-            if let Some(reply) = self.attempt_once(src_ip, dst, payload, deadline) {
+            if let Some(reply) = self.attempt_once(src_ip, src_as, dst, dst_as, payload, deadline) {
                 if self.obs_on {
                     self.obs
                         .request_us
@@ -1118,5 +1144,104 @@ mod tests {
             diff < 30,
             "knob {ok_knob} vs plan {ok_plan} diverge too far"
         );
+    }
+
+    #[test]
+    fn lane_draws_match_pinned_values() {
+        // Per packet: one-way latency (base + jitter), jitter, and the
+        // uniform-loss draw of one lane key, pinned: a drift in any seed
+        // derivation moves every simulated latency and loss.
+        let mut net = network();
+        net.loss_rate = 0.5;
+        let lane = net.lane("pinned/lane");
+        let topo = net.topology();
+        let (a, b) = (Asn(100), Asn(200));
+        assert_eq!(
+            [
+                topo.latency_us(a, b),
+                topo.latency_us(a, a),
+                topo.latency_us(b, b)
+            ],
+            [92_570, 1_238, 502]
+        );
+        let draws: Vec<(u64, u64, bool)> = (1..=8u64)
+            .map(|seq| {
+                let jitter = topo.jitter_us(a, b, lane.pkt.child_idx(seq).seed());
+                let lat = lane.hop_us(a, b, CLIENT, SERVER, seq, lane.now());
+                (lat, jitter, lane.lost(seq))
+            })
+            .collect();
+        assert_eq!(
+            draws,
+            [
+                (93_393, 823, false),
+                (93_997, 1_427, false),
+                (93_880, 1_310, true),
+                (92_759, 189, false),
+                (93_024, 454, false),
+                (93_722, 1_152, false),
+                (94_011, 1_441, false),
+                (93_629, 1_059, false),
+            ]
+        );
+    }
+
+    #[test]
+    fn lane_traffic_matches_pinned_run() {
+        // Uniform loss, a link fault's extra loss and latency, retries:
+        // every stream a lane draws from, pinned end to end.
+        use crate::fault::{FaultWindow, LinkFault};
+        let mut net = network();
+        net.loss_rate = 0.3;
+        net.bind(SERVER, 53, Box::new(Echo));
+        net.faults_mut().add_link_fault(LinkFault {
+            prefix: "192.0.2.0/24".parse().unwrap(),
+            extra_loss: 0.2,
+            extra_latency_us: 7_000,
+            window: FaultWindow::always(),
+        });
+        let mut lane = net.lane("pinned/run");
+        let ok = (0..40)
+            .filter(|_| lane.request(CLIENT, (SERVER, 53), b"q", 400_000, 2).is_ok())
+            .count();
+        assert_eq!((ok, lane.elapsed_us()), (18, 23_623_302));
+        assert_eq!(
+            lane.stats(),
+            NetStats {
+                sent: 104,
+                dropped: 50,
+                delivered: 54,
+                unreachable: 0,
+                faulted: 0,
+            }
+        );
+    }
+
+    #[test]
+    fn reply_hop_pays_link_fault_latency_at_its_send_instant() {
+        // A degraded link whose window opens while the request is in
+        // flight: the request leaves before it opens, the reply leaves
+        // after, so exactly one hop pays the extra latency.
+        use crate::fault::{FaultWindow, LinkFault};
+        const EXTRA_US: u64 = 30_000;
+        let elapsed = |window: FaultWindow| {
+            let mut net = network();
+            net.bind(SERVER, 53, Box::new(Echo));
+            net.faults_mut().add_link_fault(LinkFault {
+                prefix: "192.0.2.0/24".parse().unwrap(),
+                extra_loss: 0.0,
+                extra_latency_us: EXTRA_US,
+                window,
+            });
+            let mut lane = net.lane("reply-window");
+            lane.request(CLIENT, (SERVER, 53), b"q", 5_000_000, 1)
+                .unwrap();
+            lane.elapsed_us()
+        };
+        let always = elapsed(FaultWindow::always());
+        // The one-way latency is at least 92.57 ms (pinned above), so a
+        // window opening at 50 ms opens after the send, before the arrival.
+        let mid_flight = elapsed(FaultWindow::from(SimTime(50_000)));
+        assert_eq!(mid_flight, always - EXTRA_US);
     }
 }

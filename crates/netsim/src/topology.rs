@@ -6,8 +6,7 @@
 
 use crate::ip::Ipv4Net;
 use crate::routing::RoutingTable;
-use ruwhere_types::{Asn, Country, SeedTree};
-use std::collections::HashMap;
+use ruwhere_types::{Asn, Country, FnvMap, SeedTree};
 use std::net::Ipv4Addr;
 
 /// Registration facts about one autonomous system.
@@ -24,8 +23,13 @@ pub struct AsInfo {
 /// The AS-level map of the simulated Internet.
 #[derive(Debug, Clone)]
 pub struct Topology {
-    seed: SeedTree,
-    ases: HashMap<Asn, AsInfo>,
+    /// `seed.child("lat")`: inter-AS base latency draws.
+    lat: SeedTree,
+    /// `seed.child("lat-intra")`: intra-AS latency draws.
+    lat_intra: SeedTree,
+    /// `seed.child("jitter")`: per-packet jitter draws.
+    jitter: SeedTree,
+    ases: FnvMap<Asn, AsInfo>,
     fib: RoutingTable<Asn>,
     prefixes: Vec<(Ipv4Net, Asn)>,
 }
@@ -34,8 +38,10 @@ impl Topology {
     /// New topology; `seed` drives latency/jitter derivation.
     pub fn new(seed: SeedTree) -> Self {
         Topology {
-            seed,
-            ases: HashMap::new(),
+            lat: seed.child("lat"),
+            lat_intra: seed.child("lat-intra"),
+            jitter: seed.child("jitter"),
+            ases: FnvMap::default(),
             fib: RoutingTable::new(),
             prefixes: Vec::new(),
         }
@@ -107,11 +113,7 @@ impl Topology {
     /// (5-150 ms) with a per-pair fixed draw, symmetric in its arguments.
     pub fn latency_us(&self, a: Asn, b: Asn) -> u64 {
         if a == b {
-            let h = self
-                .seed
-                .child("lat-intra")
-                .child_idx(u64::from(a.value()))
-                .seed();
+            let h = self.lat_intra.child_idx(u64::from(a.value())).seed();
             return 200 + h % 1_800;
         }
         let (lo, hi) = if a.value() <= b.value() {
@@ -120,8 +122,7 @@ impl Topology {
             (b, a)
         };
         let node = self
-            .seed
-            .child("lat")
+            .lat
             .child_idx(u64::from(lo.value()))
             .child_idx(u64::from(hi.value()));
         let base = 5_000 + node.seed() % 145_000;
@@ -141,8 +142,7 @@ impl Topology {
     /// identity so retransmissions of the same logical packet differ.
     pub fn jitter_us(&self, a: Asn, b: Asn, packet_id: u64) -> u64 {
         let node = self
-            .seed
-            .child("jitter")
+            .jitter
             .child_idx(u64::from(a.value()) << 32 | u64::from(b.value()))
             .child_idx(packet_id);
         node.seed() % 2_000
